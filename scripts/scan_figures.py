@@ -27,7 +27,6 @@ from qutrit_bloch import sections
 class FigureConfig:
     out_dir: Path
     resolution: int = 201
-    grid_steps: int = 48
     window_samples: int = 451
     three_axis_kinds: tuple[int, ...] = field(default=(1, 2, 3, 4))
 
@@ -76,7 +75,6 @@ def run(cfg: FigureConfig) -> None:
             axes=(1, 2),
             resolution=cfg.resolution,
             theta_policy="maximize",
-            grid_steps=cfg.grid_steps,
         ),
     )
     for which in cfg.three_axis_kinds:
@@ -89,7 +87,6 @@ def run(cfg: FigureConfig) -> None:
                 axes=axes,
                 resolution=max(41, cfg.resolution // 4),
                 theta_policy="maximize",
-                grid_steps=cfg.grid_steps,
             ),
         )
 
@@ -99,11 +96,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out-dir", type=Path, default=Path("figures"))
     ap.add_argument("--resolution", type=int, default=201,
                     help="grid points per weight axis (default 201)")
-    ap.add_argument("--grid-steps", type=int, default=48,
-                    help="angle-search grid per free angle (default 48)")
     args = ap.parse_args(argv)
-    run(FigureConfig(out_dir=args.out_dir, resolution=args.resolution,
-                     grid_steps=args.grid_steps))
+    run(FigureConfig(out_dir=args.out_dir, resolution=args.resolution))
     return 0
 
 

@@ -245,10 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--theta-policy", choices=("grid", "fixed", "maximize"),
                         default="maximize")
     p_scan.add_argument("--theta", default=None, help="angles for --theta-policy fixed")
-    p_scan.add_argument("--grid-steps", type=int, default=48)
+    p_scan.add_argument("--grid-steps", type=int, default=8,
+                        help="coarse angle grid per 2 pi/3 for --theta-policy maximize")
     p_scan.add_argument("--no-refine", action="store_true")
-    p_scan.add_argument("--threads", type=int, default=1,
-                        help="worker hint; output is order-stable regardless")
     io_flags(p_scan)
     p_scan.set_defaults(func=_cmd_scan)
 
@@ -270,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--ensemble", choices=ensembles.MEASURES, required=True)
     p_sample.add_argument("--count", type=int, default=1)
     p_sample.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_sample.add_argument("--threads", type=int, default=1,
-                          help="worker hint; output is order-stable regardless")
     io_flags(p_sample)
     p_sample.set_defaults(func=_cmd_sample)
 

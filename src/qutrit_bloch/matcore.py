@@ -3,9 +3,11 @@
 Only the dimensions that actually occur here are supported: 2x2 and 3x3
 (qubit/qutrit states) and 9x9 (Choi matrices).  The 3x3 Hermitian
 eigenvalue path uses the trigonometric closed form of the cubic
-characteristic polynomial, which is both faster than a general solver at
-this size and exact enough for positivity work; it falls back to LAPACK
-when the spectrum is nearly degenerate and the closed form loses digits.
+characteristic polynomial, which is exact enough for positivity work; it
+falls back to LAPACK when the spectrum is nearly degenerate and the
+closed form loses digits.  It is not faster than LAPACK: one call takes
+about 17 us against about 3 us for `numpy.linalg.eigvalsh` (2-core
+x86-64, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations

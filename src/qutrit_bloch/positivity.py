@@ -16,17 +16,19 @@ The determinant has a closed trigonometric form in the Bloch chart;
       + 6 n2 n3 n4 cos(t2 + t3 - t4 + pi/3)
       + 6 n1 n2 n4 cos(t1 + t2 + t4 + pi/3).
 
-Weight points (n alone) are classified by searching the angle torus for
-a sign: the bracket is invariant under the nine shifts
-theta += (2 pi / 3) * (a + b, 2a + b, a, b) with a, b in {0, 1, 2}, so a
-fundamental domain keeps two angles on [0, 2 pi/3) and - when cross
-terms survive - lets the rest run over the full circle.
+Weight points (n alone) are classified by maximizing the bracket over
+the angle torus (`max_a3_batch`): in closed form when at most two
+weights are active, else by a coarse grid, Newton ascent and a curvature
+bound that certifies the sign.  The bracket is invariant under the nine
+shifts theta += (2 pi / 3) * (a + b, 2a + b, a, b) with a, b in
+{0, 1, 2}, so a fundamental domain keeps two angles on [0, 2 pi/3) and -
+when cross terms survive - lets the rest run over the full circle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,6 +42,9 @@ __all__ = [
     "a3_closed_form",
     "a3_polar",
     "is_physical",
+    "ThetaSearch",
+    "closed_form_max",
+    "max_a3_batch",
     "max_a3_over_theta",
     "is_point_physical",
     "RankReport",
@@ -56,6 +61,43 @@ _CROSS_TERMS = (
     ((1, 2, 3), +1.0, (1.0, +1.0, -1.0), +np.pi / 3.0),
     ((0, 1, 3), +1.0, (1.0, +1.0, +1.0), +np.pi / 3.0),
 )
+
+
+def _wave_table() -> tuple[np.ndarray, np.ndarray]:
+    """The bracket as eight cosine waves,
+
+        27 a3 = 1 - 3 |n|^2 + sum_k c_k cos(D_k . theta + phase_k),
+
+    rows 0-3 the cube terms (D_k = 3 e_k, c_k = 2 n_k^3) and rows 4-7 the
+    cross terms of `_CROSS_TERMS` (c_k = 6 sign n_i n_j n_l)."""
+    d, phase = np.zeros((8, 4)), np.zeros(8)
+    d[:4] = 3.0 * np.eye(4)
+    for k, ((i, j, l), _sign, tsign, ph) in enumerate(_CROSS_TERMS, start=4):
+        d[k, [i, j, l]] = tsign
+        phase[k] = ph
+    return d, phase
+
+
+_WAVE_D, _WAVE_PHASE = _wave_table()
+# sum_k |c_k| |D_k|^2 bounds the spectral norm of the bracket's Hessian:
+# 18 sum |n_i|^3 + 18 sum_T |n_i n_j n_l|
+_WAVE_CURVATURE = np.sum(_WAVE_D ** 2, axis=1)
+
+
+_CROSS_AXES = np.array([axes for axes, _s, _t, _p in _CROSS_TERMS])
+_CROSS_COEF = np.array([6.0 * sign for _a, sign, _t, _p in _CROSS_TERMS])
+
+
+def _wave_coefs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For weights n (..., 4): the constant 1 - 3 |n|^2 and the eight wave
+    amplitudes c (..., 8)."""
+    cross = _CROSS_COEF * np.prod(n[..., _CROSS_AXES], axis=-1)
+    return 1.0 - 3.0 * np.sum(n * n, axis=-1), np.concatenate([2.0 * n ** 3, cross], axis=-1)
+
+
+def _wave_value(base, coef, theta) -> np.ndarray:
+    """27 a3 at angles theta (..., 4) for the rows of `_wave_coefs`."""
+    return base + np.sum(coef * np.cos(theta @ _WAVE_D.T + _WAVE_PHASE), axis=-1)
 
 
 def _bracket(n: Sequence[float], t0, t1, t2, t3):
@@ -130,6 +172,23 @@ def is_physical(p: BlochParams, tol: float = 1e-10) -> bool:
 
 # --- weight-point feasibility (search over angles) ----------------------
 
+_ACTIVE_WEIGHT = 1e-14  # weights at or below this count as zero
+_CHUNK_ELEMENTS = 1 << 18  # grid values (and grid wave entries) held at once
+_ROW_BLOCK = 4096  # weight points searched together
+_NEWTON_STARTS = 4  # best grid points per row that Newton ascends from
+_NEWTON_ITERS = 30
+_BACKTRACKS = 12  # step halvings before a Newton step is given up
+_MAX_GRID_POINTS = 1 << 24  # re-gridding stops before a row's grid passes this
+
+
+def _wave_slopes(coef, theta, free):
+    """Gradient (M, f) and Hessian (M, f, f) of the bracket in the free angles."""
+    waves = theta @ _WAVE_D.T + _WAVE_PHASE
+    d = _WAVE_D[:, free]
+    grad = -(coef * np.sin(waves)) @ d
+    hess = -np.einsum("mk,ki,kj->mij", coef * np.cos(waves), d, d)
+    return grad, hess
+
 
 def _grid_axes(n: Sequence[float], grid_steps: int):
     """Angle grids forming a fundamental domain of the shift symmetry.
@@ -140,7 +199,7 @@ def _grid_axes(n: Sequence[float], grid_steps: int):
     keeps the first one (respectively two) of the active angles on the
     full circle while the rest stay on [0, 2 pi / 3).
     """
-    free = [i for i in range(4) if abs(n[i]) > 1e-14]
+    free = [i for i in range(4) if abs(n[i]) > _ACTIVE_WEIGHT]
     step = _TWO_THIRD_PI / grid_steps
     reduced = np.arange(grid_steps) * step
     full = np.arange(3 * grid_steps) * step
@@ -151,108 +210,236 @@ def _grid_axes(n: Sequence[float], grid_steps: int):
     return free, axes, step
 
 
-def _grid_max(n: Sequence[float], axes, chunk_limit: int = 1 << 21):
-    """Max of the bracket over the grid, chunking the largest axis."""
-    array_axes = [i for i in range(4) if isinstance(axes[i], np.ndarray)]
-    if not array_axes:
-        return float(_bracket(n, *axes)), [0.0 if not isinstance(a, np.ndarray) else a for a in axes]
-    shapes = {i: len(axes[i]) for i in array_axes}
-    # reshape each axis array for broadcasting
-    def shaped(i, arr):
-        sh = [1] * len(array_axes)
-        sh[array_axes.index(i)] = len(arr)
-        return arr.reshape(sh)
+def _grid_angles(axes, free, flat: np.ndarray) -> np.ndarray:
+    """Angles (M, 4) of the grid points with the given flat indices."""
+    theta = np.zeros((len(flat), 4))
+    for i, idx in zip(free, np.unravel_index(flat, [len(axes[i]) for i in free])):
+        theta[:, i] = axes[i][idx]
+    return theta
 
-    total = int(np.prod(list(shapes.values())))
-    lead = array_axes[0]
-    lead_arr = axes[lead]
-    per_slice = total // shapes[lead]
-    chunk = max(1, min(shapes[lead], chunk_limit // max(per_slice, 1)))
 
-    best_val = -np.inf
-    best_theta: list[float] = [a if not isinstance(a, np.ndarray) else 0.0 for a in axes]
-    for start in range(0, shapes[lead], chunk):
-        part = lead_arr[start : start + chunk]
-        targs = []
-        for i in range(4):
-            if i == lead:
-                targs.append(shaped(i, part))
-            elif isinstance(axes[i], np.ndarray):
-                targs.append(shaped(i, axes[i]))
+def _grid_blocks(lengths: list[int], budget: int):
+    """Split a grid (C order) into contiguous blocks of at most `budget`
+    points (one, if a single line is longer).  Yields the first flat
+    index of each block and its per-axis indices, shaped to broadcast."""
+    d = len(lengths)
+    split, tail = d - 1, 1
+    while split > 0 and tail * lengths[split] <= budget:
+        tail *= lengths[split]
+        split -= 1
+    chunk = max(1, min(lengths[split], budget // tail))
+
+    def shaped(axis, idx):
+        return np.reshape(idx, [-1 if a == axis else 1 for a in range(d)])
+
+    rest = [shaped(a, np.arange(lengths[a])) for a in range(split + 1, d)]
+    for lead in np.ndindex(*lengths[:split]):
+        for s0 in range(0, lengths[split], chunk):
+            idx = [shaped(a, lead[a]) for a in range(split)]
+            idx.append(shaped(split, np.arange(s0, min(s0 + chunk, lengths[split]))))
+            start = int(np.ravel_multi_index(tuple(lead) + (s0,) + (0,) * len(rest), lengths))
+            yield start, idx + rest
+
+
+def _grid_top(base, coef, free, axes, steps: int, count: int):
+    """The `count` largest bracket values on the grid for each row, in
+    descending order (R, count), and their angles (R, count, 4).
+
+    Grid angles are integer multiples m of the spacing, so each wave
+    angle D_k . theta + phase_k is 2 pi / (3 steps) * (D_k . m) + phase_k:
+    the waves are read from a table of one period (3 steps entries) on
+    the axes they depend on, and each block of values is one matrix
+    product over all rows."""
+    lengths = [len(axes[i]) for i in free]
+    count = min(count, int(np.prod(lengths)))
+    keep = np.flatnonzero(np.any(coef != 0.0, axis=0))
+    period = 3 * steps
+    table = np.cos(_TWO_THIRD_PI / steps * np.arange(period) + _WAVE_PHASE[keep, None])
+    d_int = _WAVE_D[np.ix_(keep, free)].astype(np.int64)
+    best_val = np.full((len(base), count), -np.inf)
+    best_idx = np.zeros((len(base), count), dtype=np.int64)
+    for start, idx in _grid_blocks(lengths, max(1, _CHUNK_ELEMENTS // len(keep))):
+        shape = np.broadcast_shapes(*(m.shape for m in idx))
+        waves = np.empty((len(keep),) + shape)
+        for k, dk in enumerate(d_int):
+            waves[k] = table[k, sum(c * m for c, m in zip(dk, idx) if c) % period]
+        waves = waves.reshape(len(keep), -1)
+        flat = start + np.arange(waves.shape[1])
+        rows = max(1, _CHUNK_ELEMENTS // waves.shape[1])
+        for r0 in range(0, len(base), rows):
+            r = slice(r0, r0 + rows)
+            vals = base[r, None] + coef[r][:, keep] @ waves
+            if vals.shape[1] > count:
+                part = np.argpartition(vals, -count, axis=1)[:, -count:]
+                vals = np.take_along_axis(vals, part, axis=1)
             else:
-                targs.append(axes[i])
-        vals = _bracket(n, *targs)
-        vals = np.broadcast_to(vals, tuple(len(part) if i == 0 else shapes[a] for i, a in enumerate(array_axes)))
-        idx = int(np.argmax(vals))
-        v = float(vals.flat[idx])
-        if v > best_val:
-            best_val = v
-            unravel = np.unravel_index(idx, vals.shape)
-            for pos, i in enumerate(array_axes):
-                if i == lead:
-                    best_theta[i] = float(part[unravel[pos]])
-                else:
-                    best_theta[i] = float(axes[i][unravel[pos]])
-    return best_val, best_theta
+                part = np.broadcast_to(np.arange(vals.shape[1]), vals.shape)
+            merged_val = np.concatenate([best_val[r], vals], axis=1)
+            merged_idx = np.concatenate([best_idx[r], flat[part]], axis=1)
+            order = np.argsort(-merged_val, axis=1, kind="stable")[:, :count]
+            best_val[r] = np.take_along_axis(merged_val, order, axis=1)
+            best_idx[r] = np.take_along_axis(merged_idx, order, axis=1)
+    theta = _grid_angles(axes, free, best_idx.ravel()).reshape(len(base), count, 4)
+    return best_val, theta
 
 
-def _ascend(n: Sequence[float], theta: list[float], free: list[int], step0: float,
-            max_iters: int = 200, min_gain: float = 1e-12) -> tuple[float, list[float]]:
-    """Coordinate ascent on the bracket, halving the step when stuck."""
-    best = float(_bracket(n, *theta))
-    step = step0
-    for _ in range(max_iters):
-        improved = False
-        for i in free:
-            base = theta[i]
-            for cand in (base + step, base - step):
-                theta[i] = cand
-                v = float(_bracket(n, *theta))
-                if v > best + min_gain:
-                    best = v
-                    base = cand
-                    improved = True
-                else:
-                    theta[i] = base
-            theta[i] = base
-        if not improved:
-            step *= 0.5
-            if step < min_gain:
+def _newton(base, coef, theta, free, radius: float):
+    """Damped Newton ascent of the bracket in the free angles, one start
+    per row of theta.  The Hessian is shifted until negative definite,
+    a step moves no angle by more than `radius`, and it is taken only if
+    the bracket does not fall (else halved), so each value returned is
+    attained at the angles returned and is at least the start's.  A row
+    stops once a step no longer raises its value."""
+    theta = theta.copy()
+    eye = np.eye(len(free))
+    margin = 1e-6 * (np.abs(coef) @ _WAVE_CURVATURE) + 1e-300
+    val = _wave_value(base, coef, theta)
+    alive = np.arange(len(theta))
+    for _ in range(_NEWTON_ITERS):
+        grad, hess = _wave_slopes(coef[alive], theta[alive], free)
+        shift = np.maximum(np.linalg.eigvalsh(hess)[:, -1] + margin[alive], 0.0)
+        step = np.linalg.solve(hess - shift[:, None, None] * eye, -grad[:, :, None])[:, :, 0]
+        step *= np.minimum(1.0, radius / np.maximum(np.abs(step).max(axis=1), 1e-300))[:, None]
+        rose = np.zeros(len(alive), dtype=bool)
+        pending = np.arange(len(alive))
+        for _ in range(_BACKTRACKS):
+            rows = alive[pending]
+            trial = theta[rows]
+            trial[:, free] += step[pending]
+            trial_val = _wave_value(base[rows], coef[rows], trial)
+            up = trial_val >= val[rows]
+            rose[pending[up]] = trial_val[up] > val[rows[up]]
+            theta[rows[up]] = trial[up]
+            val[rows[up]] = trial_val[up]
+            pending = pending[~up]
+            if not pending.size:
                 break
-    return best, theta
+            step[pending] *= 0.5
+        alive = alive[rose]
+        if not alive.size:
+            break
+    return val, theta
 
 
-def max_a3_over_theta(n: Sequence[float], grid_steps: int = 48, refine: bool = True
+def _search_block(n: np.ndarray, grid_steps: int, refine: bool, tol: float):
+    """Certified search for rows that share one set of three or four
+    active weights; returns (27 a3 found, angles, settled)."""
+    base, coef = _wave_coefs(n)
+    curvature = np.abs(coef) @ _WAVE_CURVATURE
+    floor = -27.0 * tol
+    best = np.full(len(n), -np.inf)
+    theta = np.zeros((len(n), 4))
+    upper = np.full(len(n), np.inf)
+    todo = np.arange(len(n))
+    steps = grid_steps
+    while True:
+        free, axes, h = _grid_axes(n[0], steps)
+        vals, starts = _grid_top(base[todo], coef[todo], free, axes, steps, _NEWTON_STARTS)
+        # the gradient vanishes at the true maximum and some grid point
+        # lies within h/2 of it in every angle, so the grid misses it by
+        # at most curvature/2 * |offset|^2
+        gap = 0.5 * curvature[todo] * len(free) * (h / 2.0) ** 2
+        upper[todo] = np.minimum(upper[todo], vals[:, 0] + gap)
+        if refine:
+            k = vals.shape[1]
+            rows = np.repeat(todo, k)
+            vals, starts = _newton(base[rows], coef[rows], starts.reshape(-1, 4), free, h)
+            vals, starts = vals.reshape(-1, k), starts.reshape(-1, k, 4)
+        pick = np.argmax(vals, axis=1)
+        found = vals[np.arange(len(todo)), pick]
+        gain = found > best[todo]
+        best[todo[gain]] = found[gain]
+        theta[todo[gain]] = starts[np.arange(len(todo)), pick][gain]
+        settled = (best >= floor) | (upper < floor)
+        todo = np.flatnonzero(~settled)
+        steps *= 2
+        grid_points = np.prod([len(axes[i]) for i in free]) * 2 ** len(free)
+        if not todo.size or grid_points > _MAX_GRID_POINTS:
+            return best, np.mod(theta, 2.0 * np.pi), settled
+
+
+class ThetaSearch(NamedTuple):
+    """Per-row result of `max_a3_batch`."""
+
+    a3: np.ndarray  # (N,) largest a3 = det rho found, attained at theta
+    theta: np.ndarray  # (N, 4) the maximizing angles; 0 on zero weights
+    certified: np.ndarray  # (N,) True when the sign of a3 + tol is proven
+
+
+def closed_form_max(n) -> tuple[np.ndarray, np.ndarray]:
+    """Largest a3 over the angles, and angles attaining it, for weight
+    points (N, 4) with at most two nonzero weights.  No cross term
+    survives, so each cube term peaks on its own at cos 3t = sign(n):
+
+        27 max a3 = 1 - 3 |n|^2 + 2 sum |n_i|^3,
+
+    at t_i = 0 where n_i > 0 and pi / 3 where n_i < 0."""
+    n = np.asarray(n, dtype=float).reshape(-1, 4)
+    if np.any(np.sum(np.abs(n) > _ACTIVE_WEIGHT, axis=1) > 2):
+        raise ValueError("the closed form needs at most two nonzero weights")
+    a3 = (1.0 - 3.0 * np.sum(n * n, axis=1) + 2.0 * np.sum(np.abs(n) ** 3, axis=1)) / 27.0
+    return a3, np.where(n < -_ACTIVE_WEIGHT, np.pi / 3.0, 0.0)
+
+
+def max_a3_batch(n, grid_steps: int = 8, refine: bool = True, tol: float = 1e-10) -> ThetaSearch:
+    """Largest a3 = det rho over all angles, per weight point of an
+    (N, 4) array, with the maximizing angles and a certificate.
+
+    * At most two active weights: `closed_form_max`, always certified.
+    * Three or four: the bracket on a fundamental-domain grid of
+      `grid_steps` steps per 2 pi / 3, for all rows with the same active
+      weights at once; then damped Newton from each row's best
+      `_NEWTON_STARTS` grid points (skipped when refine is False).  The
+      value L returned is attained, so it is a lower bound.  The true
+      maximum is at most U = grid max + H d (h/2)^2 / 2, with H the
+      Hessian bound sum |c_k| |D_k|^2, d the active angles and h the
+      spacing.  A row is certified once L >= -27 tol or U < -27 tol (in
+      bracket units); the others, and only those, are searched again on
+      a grid of twice the steps, until the grid would exceed
+      `_MAX_GRID_POINTS` points.
+    """
+    n = np.asarray(n, dtype=float)
+    if n.ndim != 2 or n.shape[1] != 4:
+        raise ValueError(f"weight points must have shape (N, 4), got {n.shape}")
+    if grid_steps < 1:
+        raise ValueError("grid_steps must be at least 1")
+    active = np.abs(n) > _ACTIVE_WEIGHT
+    n = np.where(active, n, 0.0)
+    a3 = np.empty(len(n))
+    theta = np.zeros((len(n), 4))
+    certified = np.ones(len(n), dtype=bool)
+    few = np.sum(active, axis=1) <= 2
+    a3[few], theta[few] = closed_form_max(n[few])
+    code = active @ (1, 2, 4, 8)
+    for mask in np.unique(code[~few]):
+        rows = np.flatnonzero(code == mask)
+        for start in range(0, len(rows), _ROW_BLOCK):
+            block = rows[start : start + _ROW_BLOCK]
+            value, theta[block], certified[block] = _search_block(n[block], grid_steps, refine, tol)
+            a3[block] = value / 27.0
+    return ThetaSearch(a3, theta, certified)
+
+
+def max_a3_over_theta(n: Sequence[float], grid_steps: int = 8, refine: bool = True
                       ) -> tuple[float, tuple[float, float, float, float]]:
     """Largest achievable a3 = det rho over all angles at a fixed weight
-    point, with the maximizing angles.  Grid search over a fundamental
-    domain, optionally polished by coordinate ascent."""
+    point, with the maximizing angles: `max_a3_batch` on one row."""
     n = tuple(float(v) for v in n)
     if len(n) != 4:
         raise ValueError("weight point must have four entries")
-    free, axes, step = _grid_axes(n, grid_steps)
-    val, theta = _grid_max(n, axes)
-    if refine and free:
-        val, theta = _ascend(n, list(theta), free, step / 2.0)
-    return val / 27.0, tuple(theta)
+    found = max_a3_batch([n], grid_steps=grid_steps, refine=refine)
+    return float(found.a3[0]), tuple(float(t) for t in found.theta[0])
 
 
-def is_point_physical(n: Sequence[float], grid_steps: int = 48, refine: bool = True,
+def is_point_physical(n: Sequence[float], grid_steps: int = 8, refine: bool = True,
                       tol: float = 1e-10) -> bool:
     """Does any angle assignment make this weight point a state?"""
     n = tuple(float(v) for v in n)
     r2 = sum(v * v for v in n)
     if r2 > 1.0 + tol:
         raise OutsideSphere(f"|n|^2 = {r2:.6f} exceeds 1")
-    # quick reject: even with every trig factor at its own optimum the
-    # bracket cannot reach -27 tol
-    ceiling = 1.0 - 3.0 * r2 + 2.0 * sum(abs(v) ** 3 for v in n)
-    for (i, j, k), _sign, _tsign, _phase in _CROSS_TERMS:
-        ceiling += 6.0 * abs(n[i] * n[j] * n[k])
-    if ceiling < -27.0 * tol:
-        return False
-    a3max, _ = max_a3_over_theta(n, grid_steps=grid_steps, refine=refine)
-    return a3max >= -tol
+    found = max_a3_batch([n], grid_steps=grid_steps, refine=refine, tol=tol)
+    return bool(found.a3[0] >= -tol)
 
 
 # --- rank regions --------------------------------------------------------

@@ -12,8 +12,8 @@ the section value on the 6 * a3 scale, i.e. (2/9) * (reduced bracket):
 
 `scan` rasterizes a section into CSV-ready rows, either at fixed angles,
 on an (n, theta) grid (one-axis sections), or maximizing over the
-section's own angles by the same grid-plus-ascent search the point
-classifier uses.
+section's own angles with one `positivity.max_a3_batch` call over every
+in-ball point.
 """
 
 from __future__ import annotations
@@ -97,11 +97,11 @@ def two_section_a3(ni: float, nj: float, thetai: float, thetaj: float) -> float:
 
 def two_section_point_ok(ni: float, nj: float) -> bool:
     """Feasibility of a two-axis weight point: the angle maximum of the
-    section (cos 3t at the sign of n) must be nonnegative."""
+    section (`positivity.closed_form_max`) must be nonnegative."""
     if ni * ni + nj * nj > 1.0 + 1e-12:
         raise OutsideSphere(f"ni^2 + nj^2 = {ni * ni + nj * nj:.6f} exceeds 1")
-    peak = 1.0 - 3.0 * (ni * ni + nj * nj) + 2.0 * abs(ni) ** 3 + 2.0 * abs(nj) ** 3
-    return peak >= -_FEASIBLE_TOL
+    a3, _theta = positivity.closed_form_max((ni, nj, 0.0, 0.0))
+    return 27.0 * float(a3[0]) >= -_FEASIBLE_TOL
 
 
 def three_section_a3(which: int, n: Sequence[float], theta: Sequence[float]) -> float:
@@ -143,7 +143,7 @@ class SectionSpec:
     resolution: int = 101
     theta_policy: str = "maximize"
     theta_values: tuple[float, ...] = ()
-    grid_steps: int = 48
+    grid_steps: int = 8
     refine: bool = True
 
     def __post_init__(self):
@@ -156,19 +156,14 @@ class SectionSpec:
             raise ValueError("axes must be distinct values from 1..4")
         if self.resolution < 2:
             raise ValueError("resolution must be at least 2")
+        if self.grid_steps < 1:
+            raise ValueError("grid_steps must be at least 1")
         if self.theta_policy not in ("grid", "fixed", "maximize"):
             raise ValueError(f"theta_policy must be grid|fixed|maximize, got {self.theta_policy!r}")
         if self.theta_policy == "grid" and self.kind != "one":
             raise ValueError("theta_policy 'grid' only applies to one-axis sections")
         if self.theta_policy == "fixed" and len(self.theta_values) != len(self.axes):
             raise ValueError("fixed policy needs one theta per axis")
-
-
-def _pad(axes: tuple[int, ...], values: Sequence[float]) -> tuple[float, float, float, float]:
-    full = [0.0, 0.0, 0.0, 0.0]
-    for a, v in zip(axes, values):
-        full[a - 1] = float(v)
-    return tuple(full)
 
 
 def _section_value(spec: SectionSpec, nvals: Sequence[float], tvals: Sequence[float]) -> float:
@@ -202,18 +197,21 @@ def scan(spec: SectionSpec) -> tuple[list[str], list[tuple]]:
     header = names + ["feasible", "a3_max"]
     meshes = np.meshgrid(*([grid] * len(spec.axes)), indexing="ij")
     points = np.stack([m.ravel() for m in meshes], axis=-1)
-    for point in points:
-        r2 = float(np.dot(point, point))
-        if r2 > 1.0 + 1e-12:
+    inside = np.sum(points * points, axis=1) <= 1.0 + 1e-12
+    if spec.theta_policy == "maximize":  # over the section's own angles
+        padded = np.zeros((int(inside.sum()), 4))
+        padded[:, [a - 1 for a in spec.axes]] = points[inside]
+        found = positivity.max_a3_batch(padded, grid_steps=spec.grid_steps, refine=spec.refine,
+                                        tol=_FEASIBLE_TOL / 6.0)
+        maxima = iter(6.0 * found.a3)
+    for point, ok in zip(points, inside):
+        if not ok:
             rows.append(tuple(float(v) for v in point) + (0, math.nan))
             continue
         if spec.theta_policy == "fixed":
             val = _section_value(spec, point, spec.theta_values)
-        else:  # maximize over the section's own angles
-            a3max, _theta = positivity.max_a3_over_theta(
-                _pad(spec.axes, point), grid_steps=spec.grid_steps, refine=spec.refine
-            )
-            val = 6.0 * a3max
+        else:
+            val = next(maxima)
         rows.append(tuple(float(v) for v in point) + (int(val >= -_FEASIBLE_TOL), float(val)))
     return header, rows
 

@@ -111,6 +111,21 @@ def test_scan_axis_count_mismatch(invoke):
     assert "3 axes" in err
 
 
+def test_scan_rejects_empty_angle_grid(invoke):
+    code, out, err = invoke(["scan", "--kind", "three", "--axes", "1,2,3", "--resolution", "4",
+                             "--grid-steps", "0"])
+    assert code == 2 and out == ""
+    assert "grid_steps" in err
+
+
+def test_threads_flag_is_gone(invoke):
+    for argv in (["scan", "--kind", "one", "--axes", "1", "--threads", "2"],
+                 ["sample", "--ensemble", "hs", "--threads", "2"]):
+        code, out, err = invoke(argv)
+        assert code == 2 and out == ""
+        assert "--threads" in err
+
+
 # --- mub ------------------------------------------------------------------------
 
 

@@ -170,6 +170,158 @@ def test_is_point_physical_outside_sphere():
         positivity.is_point_physical((0.9, 0.9, 0.0, 0.0))
 
 
+def test_batched_search_rejects_bad_input():
+    with pytest.raises(ValueError):
+        positivity.max_a3_batch([(0.3, 0.3, 0.3)])
+    with pytest.raises(ValueError):
+        positivity.max_a3_batch([(0.3, 0.3, 0.3, 0.0)], grid_steps=0)
+
+
+def test_point_found_unphysical_by_the_old_search_is_physical():
+    """Grid plus coordinate ascent missed the positive maximum of this
+    weight point and called it unphysical.  At the angles below its
+    state has three positive LAPACK eigenvalues."""
+    n = (-0.2661027205002056, -0.3715132128970075, 0.8845478033983323, 0.0)
+    theta = (1.9251269876094972, 0.9873135324692498, 0.004413100737409416, 0.0)
+    eigs = np.linalg.eigvalsh(to_density(BlochParams.canonical(n, theta)))
+    assert eigs[0] > 1e-3
+    det = float(np.prod(eigs))
+    assert positivity.is_point_physical(n) is True
+    best, _ = positivity.max_a3_over_theta(n)
+    # the angles above are a maximizer to ~1e-9, so det is the maximum up
+    # to rounding of the bracket (~1e-17 here)
+    assert best >= det - 1e-15
+
+
+def _reference_max_a3(n, grid_steps: int = 48) -> float:
+    """Frozen copy of the earlier search, on `_bracket_reference`: the
+    best point of the fundamental-domain grid, then coordinate ascent
+    with a halving step.  The batched search must not fall below it."""
+    free = [i for i in range(4) if abs(n[i]) > 1e-14]
+    step = 2.0 * math.pi / 3.0 / grid_steps
+    n_full = 0 if len(free) <= 2 else (1 if len(free) == 3 else 2)
+    axes = [np.zeros(1)] * 4
+    for rank, i in enumerate(free):
+        axes[i] = np.arange((3 if rank < n_full else 1) * grid_steps) * step
+    vals = _bracket_reference(n, *np.meshgrid(*axes, indexing="ij"))
+    idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    theta = [float(axes[i][idx[i]]) for i in range(4)]
+    best = float(vals[idx])
+    step /= 2.0
+    for _ in range(200):
+        improved = False
+        for i in free:
+            base = theta[i]
+            for cand in (base + step, base - step):
+                theta[i] = cand
+                v = float(_bracket_reference(n, *theta))
+                if v > best + 1e-12:
+                    best, base, improved = v, cand, True
+                else:
+                    theta[i] = base
+            theta[i] = base
+        if not improved:
+            step *= 0.5
+            if step < 1e-12:
+                break
+    return best / 27.0
+
+
+def _closed_form_reference(n) -> float:
+    n = np.asarray(n, dtype=float)
+    return float(1.0 - 3.0 * n @ n + 2.0 * np.sum(np.abs(n) ** 3)) / 27.0
+
+
+def test_batched_search_matches_its_scalar_wrappers(rng):
+    """One batch mixing zero to four active weights: each row is what the
+    one-row wrapper returns, attained at the angles returned, and rows
+    with at most two active weights are the closed-form peak."""
+    batch = [(0.0, 0.0, 0.0, 0.0), (0.4, 0.0, 0.0, 0.0), (0.0, -0.7, 0.0, 0.0),
+             (0.5, 0.0, -0.5, 0.0), (0.6, 0.6, 0.0, 0.0), (0.0, 0.0, -0.3, 0.95),
+             (0.0, -0.3, 0.5, 0.6), (0.3, -0.4, 0.2, 0.5), (-0.5, 0.0, 0.4, -0.45)]
+    for _ in range(12):
+        mask = rng.integers(0, 2, 4)
+        batch.append(tuple(mask * rng.uniform(-0.55, 0.55, 4)))
+    found = positivity.max_a3_batch(batch)
+    assert found.a3.shape == (len(batch),) and found.theta.shape == (len(batch), 4)
+    assert found.certified.all()
+    for n, a3, theta in zip(batch, found.a3, found.theta):
+        best, theta1 = positivity.max_a3_over_theta(n)
+        assert abs(a3 - best) <= 1e-14
+        assert abs(_bracket_reference(n, *theta) / 27.0 - a3) <= 1e-14
+        if sum(v != 0.0 for v in n) <= 2:
+            assert abs(a3 - _closed_form_reference(n)) <= 1e-15
+            assert all(t == (math.pi / 3.0 if v < 0 else 0.0) for v, t in zip(n, theta1))
+
+
+def test_batched_search_never_below_the_earlier_search(rng):
+    points = []
+    while len(points) < 16:
+        n = rng.uniform(-1.0, 1.0, 4)
+        n[rng.integers(4)] = 0.0
+        if n @ n <= 1.0:
+            points.append(tuple(n))
+    found = positivity.max_a3_batch(points)
+    for n, a3 in zip(points, found.a3):
+        assert a3 >= _reference_max_a3(n) - 1e-12
+
+
+def test_grid_top_matches_brute_force_on_small_blocks(rng, monkeypatch):
+    """The blocked, table-driven grid evaluation returns the largest grid
+    values, even when the grid is cut into blocks of a few points."""
+    monkeypatch.setattr(positivity, "_CHUNK_ELEMENTS", 37)
+    for mask in ((1, 1, 1, 0), (0, 1, 1, 1), (1, 1, 1, 1)):
+        n = rng.uniform(-0.7, 0.7, (3, 4)) * mask
+        base, coef = positivity._wave_coefs(n)
+        free, axes, _h = positivity._grid_axes(n[0], 4)
+        top, theta = positivity._grid_top(base, coef, free, axes, 4, 4)
+        mesh = np.meshgrid(*[axes[i] if i in free else np.zeros(1) for i in range(4)],
+                           indexing="ij")
+        for row, vals, angles in zip(n, top, theta):
+            brute = np.sort(_bracket_reference(row, *mesh).ravel())[::-1][:4]
+            assert np.abs(vals - brute).max() < 1e-13
+            assert np.abs(_bracket_reference(row, *angles.T) - vals).max() < 1e-13
+
+
+def test_three_axis_rasters_at_resolution_8_are_certified():
+    """Every in-ball point of the four three-axis rasters of
+    `scan --resolution 8` gets a certified sign at the scan's tolerance."""
+    grid = np.linspace(-1.0, 1.0, 8)
+    cube = np.stack([m.ravel() for m in np.meshgrid(grid, grid, grid, indexing="ij")], axis=-1)
+    cube = cube[np.sum(cube * cube, axis=1) <= 1.0 + 1e-12]
+    for omitted in range(4):
+        n = np.insert(cube, omitted, 0.0, axis=1)
+        found = positivity.max_a3_batch(n, tol=1e-12 / 6.0)
+        assert found.certified.all()
+
+
+def test_grid_certificate_is_sound_and_closed_by_regridding(rng):
+    """Without Newton the verdict rests on the grid and the curvature
+    bound alone.  Rows whose sign the first grid leaves open are searched
+    on finer grids until it is decided, and every certified sign agrees
+    with the frozen reference search."""
+    points = []
+    while len(points) < 24:
+        n = rng.standard_normal(4)
+        n[rng.integers(4)] = 0.0
+        points.append(tuple(n * rng.uniform(0.55, 0.95) / np.linalg.norm(n)))
+    found = positivity.max_a3_batch(points, refine=False)
+    reference = np.array([_reference_max_a3(n) for n in points])
+    assert np.all(found.a3 <= reference + 1e-12)
+    tol = 1e-10
+    assert np.all((found.a3 >= -tol) == (reference >= -tol))
+    assert found.certified.all()
+
+
+def test_unrefined_search_returns_the_grid_value(rng):
+    for _ in range(6):
+        n = tuple(rng.uniform(-0.6, 0.6, 4))
+        coarse, theta = positivity.max_a3_over_theta(n, refine=False)
+        refined, _ = positivity.max_a3_over_theta(n)
+        assert abs(_bracket_reference(n, *theta) / 27.0 - coarse) < 1e-15
+        assert coarse <= refined + 1e-15
+
+
 # --- rank classification ------------------------------------------------------
 
 

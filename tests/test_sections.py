@@ -256,3 +256,5 @@ def test_section_spec_validation():
         sections.SectionSpec(kind="two", axes=(1, 2), theta_policy="fixed", theta_values=(0.0,))
     with pytest.raises(ValueError):
         sections.SectionSpec(kind="one", axes=(1,), resolution=1)
+    with pytest.raises(ValueError):
+        sections.SectionSpec(kind="three", axes=(1, 2, 3), grid_steps=0)
