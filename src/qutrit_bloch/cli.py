@@ -24,7 +24,7 @@ import io
 import json
 import sys
 
-from . import ensembles, gellmann, matcore, mub, positivity, sections, unital
+from . import ensembles, gellmann, mub, positivity, sections, unital
 from .bloch import (
     BlochParams,
     parse_state_document,
@@ -147,6 +147,7 @@ def _cmd_unital(args) -> int:
     lam = _floats(args.lam, 4, "--lam")
     phi = _floats(args.phi, 4, "--phi") if args.phi else (0.0, 0.0, 0.0, 0.0)
     m = unital.UnitalMap(lam, phi)
+    eigs = [float(x) for x in unital.choi_eigenvalues(m)]
     if args.action == "choi":
         c = unital.choi_matrix(m)
         _emit_json(
@@ -154,17 +155,16 @@ def _cmd_unital(args) -> int:
                 "lambda": list(lam),
                 "phi": list(phi),
                 "choi": [[[v.real, v.imag] for v in row] for row in c],
-                "eigenvalues": [float(x) for x in matcore.herm_eigvals(c, tol=1e-8)],
+                "eigenvalues": eigs,
             },
             args.output,
         )
         return 0
-    eigs = matcore.herm_eigvals(unital.choi_matrix(m), tol=1e-8)
     report = {
         "lambda": list(lam),
         "phi": list(phi),
-        "cp": unital.is_cp(m, tol=args.tol),
-        "min_choi_eigenvalue": float(eigs[0]),
+        "cp": eigs[0] >= -args.tol,
+        "min_choi_eigenvalue": eigs[0],
         "polytope": None,
         "slacks": None,
     }

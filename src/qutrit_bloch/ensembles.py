@@ -198,6 +198,23 @@ def hs_density_bloch(r: float, zeta: Sequence[float], theta: Sequence[float]) ->
     return num / (27.0 * r ** 3)
 
 
+def _bures_ratio(num: float, prefactor: float, d: float, gap: float, gap_label: str,
+                 signed: bool) -> float:
+    """num / (prefactor * gap * sqrt(D)) where D > 0 and gap > 0.
+
+    Elsewhere raise, or with signed=True read sqrt(D) as sign(D) sqrt|D|
+    (equal to sqrt(D) inside the domain); shared by both Bures charts.
+    """
+    if d <= 0.0 or gap <= 0.0:
+        if not signed:
+            raise DegenerateBures(
+                f"Bures density undefined here: det = {d:.3e}, {gap_label} = {gap:.3e}"
+            )
+        if d == 0.0 or gap == 0.0:
+            raise DegenerateBures("denominator vanishes exactly; no finite diagnostic")
+    return num / (prefactor * gap * math.copysign(math.sqrt(abs(d)), d))
+
+
 def bures_density_bloch(r: float, zeta: Sequence[float], theta: Sequence[float],
                         signed: bool = False) -> float:
     """Bures radial/angular density (constant set to 1).
@@ -210,16 +227,7 @@ def bures_density_bloch(r: float, zeta: Sequence[float], theta: Sequence[float],
     r = float(r)
     num, d = _hs_bloch_parts(r, zeta, theta)
     gap = (1.0 - r * r) / 3.0 - d
-    if d <= 0.0 or gap <= 0.0:
-        if not signed:
-            raise DegenerateBures(
-                f"Bures density undefined here: det = {d:.3e}, (1-r^2)/3 - det = {gap:.3e}"
-            )
-        if d == 0.0 or gap == 0.0:
-            raise DegenerateBures("denominator vanishes exactly; no finite diagnostic")
-        root = math.copysign(math.sqrt(abs(d)), d)
-        return num / (27.0 * r ** 3 * gap * root)
-    return num / (27.0 * r ** 3 * gap * math.sqrt(d))
+    return _bures_ratio(num, 27.0 * r ** 3, d, gap, "(1-r^2)/3 - det", signed)
 
 
 def qubit_hs_density(r: float) -> float:

@@ -17,10 +17,6 @@ class DimensionUnsupported(QutritBlochError):
     """Operation only supports a fixed set of matrix dimensions."""
 
 
-class DimensionOverflow(QutritBlochError):
-    """Result dimension would exceed the supported maximum."""
-
-
 class NotAState(QutritBlochError):
     """Input is not a unit-trace Hermitian matrix within tolerance."""
 

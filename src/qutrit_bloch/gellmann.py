@@ -22,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from . import matcore
-from .errors import DegenerateBures, NotAState, OriginSingularity
+from .ensembles import _bures_ratio
+from .errors import NotAState, OriginSingularity
 
 __all__ = [
     "GmBloch",
@@ -110,14 +111,4 @@ def bures_density_gm(g, signed: bool = False) -> float:
     raises, or with signed=True returns the sign(D) sqrt|D| diagnostic.
     """
     num, r, d = _density_parts(g)
-    gap = 3.0 - r * r - 9.0 * d
-    if d <= 0.0 or gap <= 0.0:
-        if not signed:
-            raise DegenerateBures(
-                f"Bures density undefined here: det = {d:.3e}, 3 - r^2 - 9 det = {gap:.3e}"
-            )
-        if d == 0.0 or gap == 0.0:
-            raise DegenerateBures("denominator vanishes exactly; no finite diagnostic")
-        root = math.copysign(math.sqrt(abs(d)), d)
-        return num / (r ** 7 * gap * root)
-    return num / (r ** 7 * gap * math.sqrt(d))
+    return _bures_ratio(num, r ** 7, d, 3.0 - r * r - 9.0 * d, "3 - r^2 - 9 det", signed)

@@ -6,15 +6,25 @@ entry (1, trace), and four modulus/phase pairs mirroring the state
 chart's pairing.  On chart parameters the action is simply
 n_i -> lambda_i n_i, theta_i -> theta_i + phi_i.
 
-Complete positivity is decided by the 9x9 Choi matrix.  At phi = 0 it
-is equivalent to five linear inequalities in lambda
+Complete positivity is fixed by the eigenvalue table alone.  The Choi
+matrix (1/3) sum_a lambda_a conj(U_a) (x) U_a is diagonal in the
+generalized Bell basis, and its nine eigenvalues are the symplectic
+Fourier transform of the table:
+
+    p_b = (1 + 2 sum_s lambda_s cos(phi_s + (2 pi/3) <a_s, b>)) / 3
+
+over b = (p, q) in Z_3^2, with a_s the representative operator of
+slot s and <a, b> = a_1 b_2 - a_2 b_1.  At phi = 0 the cosines are 1
+or -1/2 and the nine values are the five linear slacks below divided
+by 3, with multiplicities 1, 2, 2, 2, 2:
 
     1 + 2 lambda_i - sum_{j != i} lambda_j >= 0   (i = 1..4)
     1 + 2 (lambda_1 + lambda_2 + lambda_3 + lambda_4) >= 0
 
-whose feasible set is the convex hull of five explicit vertices.  Edge
-enumeration is done honestly from active-constraint ranks, not from a
-hard-coded list.
+whose feasible set is the convex hull of five explicit vertices.  The
+inequality table is kept as its own derivation (the tests compare it
+with the Choi spectrum), and edge enumeration is done honestly from
+active-constraint ranks, not from a hard-coded list.
 """
 
 from __future__ import annotations
@@ -28,8 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from . import matcore
-from .bloch import BlochParams, canonical_pair, from_density, to_density
-from .weyl import weyl_op
+from .bloch import BlochParams
+from .weyl import weyl_op, weyl_table
 
 __all__ = [
     "UnitalMap",
@@ -37,6 +47,7 @@ __all__ = [
     "apply",
     "apply_to_matrix",
     "choi_matrix",
+    "choi_eigenvalues",
     "is_cp",
     "polytope_check",
     "polytope_vertices",
@@ -50,6 +61,14 @@ _EIGENVALUE_SLOTS = {
     (1, 2): (2, +1.0), (2, 1): (2, -1.0),
     (2, 2): (3, +1.0), (1, 1): (3, -1.0),
 }
+
+# (2 pi/3) <a_s, b> mod 2 pi: rows b = (p, q) in row-major order, columns
+# the slots s, whose representative a_s is the key carrying the + phase
+_SLOT_OPS = sorted((slot, key) for key, (slot, sign) in _EIGENVALUE_SLOTS.items() if sign > 0)
+_CHOI_PHASES = np.array(
+    [[2.0 * math.pi / 3.0 * ((a1 * q - a2 * p) % 3) for _slot, (a1, a2) in _SLOT_OPS]
+     for p in range(3) for q in range(3)]
+)
 
 
 @dataclass(frozen=True)
@@ -96,20 +115,21 @@ def apply_to_matrix(m: UnitalMap, x) -> np.ndarray:
 
 
 def choi_matrix(m: UnitalMap) -> np.ndarray:
-    """C = sum_ij E_ij (x) Phi(E_ij), assembled entry block by block."""
-    c = np.zeros((9, 9), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            e = np.zeros((3, 3), dtype=complex)
-            e[i, j] = 1.0
-            c += matcore.kron(e, apply_to_matrix(m, e))
-    return c
+    """C = sum_ij E_ij (x) Phi(E_ij) = (1/3) sum_a lambda_a conj(U_a) (x) U_a."""
+    ops = weyl_table()
+    terms = (lam * np.kron(ops[key].conj(), ops[key]) for key, lam in lambda_table(m).items())
+    return sum(terms) / 3.0
+
+
+def choi_eigenvalues(m: UnitalMap) -> np.ndarray:
+    """The nine Choi eigenvalues, ascending, from the cosine form."""
+    waves = np.cos(np.asarray(m.phi) + _CHOI_PHASES)
+    return np.sort((1.0 + 2.0 * (waves @ np.asarray(m.lam))) / 3.0)
 
 
 def is_cp(m: UnitalMap, tol: float = 1e-9) -> bool:
     """Complete positivity via the smallest Choi eigenvalue."""
-    eigs = matcore.herm_eigvals(choi_matrix(m), tol=1e-8)
-    return float(eigs[0]) >= -tol
+    return float(choi_eigenvalues(m)[0]) >= -tol
 
 
 # --- the phi = 0 polytope -------------------------------------------------

@@ -1,10 +1,11 @@
 """Shared fixtures and oracles for the test suite.
 
 Oracle policy: every library result checked here is compared against an
-independent route - LAPACK eigensolvers instead of the closed-form
-trigonometric one, permutation-expansion determinants, explicit matrix
-assembly instead of chart arithmetic - so that implementation and
-reference never share code.
+independent route - LAPACK eigensolvers instead of closed-form spectra,
+power-trace moments for the library's own LAPACK wrapper,
+permutation-expansion determinants, explicit matrix assembly instead of
+chart arithmetic - so that implementation and reference never share
+code.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from qutrit_bloch.bloch import BlochParams, from_density
 
 def oracle_eigvals(m) -> np.ndarray:
     """Ascending eigenvalues via LAPACK (independent of the library's
-    closed-form route for 3x3)."""
+    closed-form Choi spectrum and its chart arithmetic)."""
     return np.linalg.eigvalsh(np.asarray(m, dtype=complex))
 
 

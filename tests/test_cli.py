@@ -182,6 +182,32 @@ def test_unital_choi_eigenvalues(invoke):
     assert abs(np.trace(mat) - 3.0) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "flags, cp",
+    [
+        (["--lam", "0.5,0.4,0.3,0.2"], True),
+        (["--lam", "0.6,-0.2,0.4,0.1"], False),
+        (["--lam", "0.15,0.1,0.1,0.1", "--phi", "0.4,1.3,2.9,0.2"], True),
+        (["--lam", "0.8,0.3,-0.1,0.5", "--phi", "0.4,1.3,2.9,0.2"], False),
+    ],
+)
+def test_unital_check_and_choi_report_one_spectrum(invoke, flags, cp):
+    """`check` takes its verdict and margin from the spectrum `choi` emits,
+    and that spectrum is the LAPACK spectrum of the emitted matrix."""
+    tol = 1e-9
+    code, out, _ = invoke(["unital", "check", *flags, "--tol", str(tol)])
+    assert code == 0
+    report = json.loads(out)
+    code, out, _ = invoke(["unital", "choi", *flags])
+    assert code == 0
+    choi = json.loads(out)
+    assert report["min_choi_eigenvalue"] == choi["eigenvalues"][0]
+    assert report["cp"] is cp
+    assert report["cp"] == (report["min_choi_eigenvalue"] >= -tol)
+    mat = np.array([[complex(re, im) for re, im in row] for row in choi["choi"]])
+    assert np.max(np.abs(np.linalg.eigvalsh(mat) - choi["eigenvalues"])) < 1e-13
+
+
 # --- sample ---------------------------------------------------------------------
 
 

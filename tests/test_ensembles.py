@@ -162,7 +162,7 @@ def test_bures_density_bloch_positive_region():
 
 def test_bures_density_domain_gate():
     # a pure-state direction at full radius has det = 0
-    with pytest.raises(DegenerateBures):
+    with pytest.raises(DegenerateBures, match=r"det = .*, \(1-r\^2\)/3 - det = "):
         ensembles.bures_density_bloch(1.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
 
 

@@ -116,7 +116,7 @@ def test_bures_density_consistency(rng):
 def test_density_gates():
     e0 = np.zeros((3, 3), dtype=complex)
     e0[0, 0] = 1.0
-    with pytest.raises(DegenerateBures):
+    with pytest.raises(DegenerateBures, match=r"det = .*, 3 - r\^2 - 9 det = "):
         gellmann.bures_density_gm(gellmann.to_gm(e0))  # det = 0 exactly
     with pytest.raises(OriginSingularity):
         gellmann.hs_density_gm(gellmann.to_gm(np.eye(3, dtype=complex) / 3.0))

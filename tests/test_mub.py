@@ -1,5 +1,9 @@
 """Two-angle closed-form kets, orthonormal-basis completion, and the
-four-family construction with its weight-point cycle."""
+four-family construction with its weight-point cycle.
+
+The library extracts every ket's chart parameters from its density
+matrix; `closed_form_params` below is the module docstring's closed form,
+kept here as the independent oracle for that extraction."""
 
 import cmath
 import math
@@ -8,7 +12,70 @@ import numpy as np
 import pytest
 
 from qutrit_bloch import mub
-from qutrit_bloch.bloch import from_density, to_density
+from qutrit_bloch.bloch import BlochParams, canonical_pair, from_density, to_density
+
+_OMEGA = cmath.exp(2j * math.pi / 3.0)
+_ZERO = 3e-13  # on |z|; matches the chart's zero-weight floor of 1e-13
+
+
+def closed_form_params(delta: float, gamma: float) -> BlochParams:
+    """Chart parameters of (1, e^{i delta}, e^{i gamma})/sqrt(3) from the
+    three complex sums z_k = 3 n_k e^{i theta_k}, each checked against
+    its radical form |z_k|^2."""
+    z1 = cmath.exp(-1j * delta) + cmath.exp(-1j * (gamma - delta)) + cmath.exp(1j * gamma)
+    z3 = (cmath.exp(1j * delta) + _OMEGA * cmath.exp(-1j * gamma)
+          + _OMEGA ** 2 * cmath.exp(1j * (gamma - delta)))
+    z4 = (cmath.exp(1j * delta) + _OMEGA ** 2 * cmath.exp(-1j * gamma)
+          + _OMEGA * cmath.exp(1j * (gamma - delta)))
+    third = 2.0 * math.pi / 3.0
+    radicals = (
+        3.0 + 2.0 * math.cos(gamma - 2 * delta) + 2.0 * math.cos(2 * gamma - delta)
+        + 2.0 * math.cos(gamma + delta),
+        3.0 + 2.0 * math.cos(gamma - 2 * delta - third)
+        + 2.0 * math.cos(2 * gamma - delta + third) + 2.0 * math.cos(gamma + delta - third),
+        3.0 + 2.0 * math.cos(gamma - 2 * delta + third)
+        + 2.0 * math.cos(2 * gamma - delta - third) + 2.0 * math.cos(gamma + delta + third),
+    )
+    pairs = []
+    for z, rad in zip((z1, z3, z4), radicals):
+        assert abs(abs(z) ** 2 - rad) <= 1e-12, "weight radical disagrees with its complex sum"
+        zero = abs(z) <= _ZERO
+        pairs.append((0.0, 0.0) if zero else canonical_pair(abs(z) / 3.0, cmath.phase(z)))
+    (n1, t1), (n3, t3), (n4, t4) = pairs
+    return BlochParams(n=(n1, 0.0, n3, n4), theta=(t1, 0.0, t3, t4))
+
+
+def assert_family_invariants(fam, delta: float, gamma: float) -> None:
+    """Everything a MUB family must satisfy: extraction agrees with the
+    closed form, kets are normalized, each basis is orthonormal, distinct
+    bases are unbiased, each basis sits at one weight point, and the
+    weight points of N, P, Q permute cyclically."""
+    third = 2.0 * math.pi / 3.0
+    for s, basis in enumerate(fam.bases[1:]):
+        for k, shift in enumerate((0.0, third, -third)):
+            d, g = delta + s * third + shift, gamma - shift
+            amps = np.array(basis[k].amplitudes)
+            rho = np.outer(amps, amps.conj())
+            assert np.max(np.abs(to_density(basis[k].bloch) - rho)) <= 1e-10
+            assert np.max(np.abs(to_density(closed_form_params(d, g)) - rho)) <= 1e-10
+    kets = [[np.array(k.amplitudes) for k in basis] for basis in fam.bases]
+    for b1 in range(4):
+        for b2 in range(b1, 4):
+            for i, u in enumerate(kets[b1]):
+                for j, v in enumerate(kets[b2]):
+                    if b1 != b2:
+                        assert abs(abs(np.vdot(u, v)) ** 2 - 1.0 / 3.0) <= 1e-10
+                    elif i == j:
+                        assert abs(np.vdot(u, u) - 1.0) <= 1e-12
+                    else:
+                        assert abs(np.vdot(u, v)) <= 1e-12
+    for b, basis in enumerate(fam.bases):
+        for ket in basis:
+            got = np.abs(np.array(ket.bloch.n))
+            assert np.max(np.abs(got - fam.weight_points[b])) <= 1e-10
+    m1, _z, m3, m4 = fam.weight_points[1]
+    assert np.max(np.abs(np.subtract(fam.weight_points[2], (m4, 0.0, m1, m3)))) <= 1e-10
+    assert np.max(np.abs(np.subtract(fam.weight_points[3], (m3, 0.0, m4, m1)))) <= 1e-10
 
 
 def test_ket_amplitudes_are_pure_phases():
@@ -27,8 +94,11 @@ def test_ket_closed_form_matches_matrix_route(rng):
         amps, params = mub.ket_from_angles(delta, gamma)
         rho = np.outer(amps, amps.conj())
         direct = from_density(rho)
+        closed = closed_form_params(delta, gamma)
         assert np.max(np.abs(np.array(params.n) - np.array(direct.n))) < 1e-10
         assert np.max(np.abs(to_density(params) - rho)) < 1e-10
+        assert np.max(np.abs(np.array(closed.n) - np.array(params.n))) < 1e-10
+        assert np.max(np.abs(to_density(closed) - rho)) < 1e-10
 
 
 def test_ket_special_angles():
@@ -127,7 +197,9 @@ def test_family_document_shape():
 
 
 def test_dense_angle_sweep_never_raises():
+    """Every family on a 13x13 angle grid builds and satisfies all of its
+    invariants, including the zero-weight branches of the closed form."""
     grid = np.linspace(0.0, 2.0 * math.pi, 13, endpoint=False)
     for d in grid:
         for g in grid:
-            mub.four_mubs(float(d), float(g))
+            assert_family_invariants(mub.four_mubs(float(d), float(g)), float(d), float(g))

@@ -1,5 +1,6 @@
-"""Diagonal unital channels: chart action versus operator action, Choi
-matrices against the basis-kron identity, complete positivity versus the
+"""Diagonal unital channels: chart action versus operator action, the
+Choi matrix and its closed-form spectrum against an element-wise
+assembly diagonalized by LAPACK, complete positivity versus the
 five-inequality polytope, and the simplex geometry of its vertex set."""
 
 import collections
@@ -10,9 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import oracle_eigvals, random_density, random_params
-from qutrit_bloch import matcore, unital
+from qutrit_bloch import unital
 from qutrit_bloch.bloch import from_density, to_density
-from qutrit_bloch.weyl import weyl_op
 
 
 def test_lambda_table_pairing():
@@ -67,8 +67,20 @@ def test_composition_multiplies_eigenvalues(rng):
         assert np.max(np.abs(seq - direct)) < 1e-12
 
 
+def elementwise_choi(m):
+    """Reference Choi matrix sum_ij E_ij (x) Phi(E_ij), one operator-level
+    channel application per matrix unit."""
+    c = np.zeros((9, 9), dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            e = np.zeros((3, 3), dtype=complex)
+            e[i, j] = 1.0
+            c += np.kron(e, unital.apply_to_matrix(m, e))
+    return c
+
+
 def test_choi_matches_basis_kron_identity(rng):
-    """Element-wise Choi assembly equals (1/3) sum lam conj(U) x U."""
+    """(1/3) sum lam conj(U) x U equals the element-wise Choi assembly."""
     for lam, phi in [
         ((1.0, 1.0, 1.0, 1.0), (0.0,) * 4),
         ((0.9, -0.3, 0.5, 0.2), (0.4, 1.2, 2.5, 0.1)),
@@ -76,14 +88,43 @@ def test_choi_matches_basis_kron_identity(rng):
     ]:
         m = unital.UnitalMap(lam, phi)
         got = unital.choi_matrix(m)
-        ref = np.zeros((9, 9), dtype=complex)
-        for key, value in unital.lambda_table(m).items():
-            u = weyl_op(*key, 3)
-            ref += value * np.kron(u.conj(), u)
-        ref /= 3.0
+        ref = elementwise_choi(m)
         assert np.max(np.abs(got - ref)) < 1e-13
         assert abs(np.trace(got) - 3.0) < 1e-12
         assert np.max(np.abs(got - got.conj().T)) < 1e-12
+
+
+def test_choi_eigenvalues_match_lapack_on_random_phased_channels():
+    rng = np.random.default_rng(20240905)
+    worst = 0.0
+    for _ in range(250):
+        m = unital.UnitalMap(rng.uniform(-1.0, 1.0, 4), rng.uniform(0.0, 2.0 * math.pi, 4))
+        got = unital.choi_eigenvalues(m)
+        assert got.shape == (9,)
+        assert np.all(np.diff(got) >= 0.0)
+        worst = max(worst, float(np.max(np.abs(got - oracle_eigvals(elementwise_choi(m))))))
+    assert worst < 1e-13
+
+
+def test_choi_eigenvalues_at_zero_phase_are_polytope_slacks(rng):
+    """At phi = 0 the spectrum is the five slacks / 3, the four single-axis
+    slacks twice each and the total slack once."""
+    for lam in [(1.0, 1.0, 1.0, 1.0), (0.0,) * 4, (0.9, -0.3, 0.5, 0.2)] + [
+        tuple(rng.uniform(-1.0, 1.0, 4)) for _ in range(50)
+    ]:
+        _ok, slacks = unital.polytope_check(lam)
+        want = np.sort(np.repeat(np.array(slacks) / 3.0, (2, 2, 2, 2, 1)))
+        got = unital.choi_eigenvalues(unital.UnitalMap(lam))
+        assert np.max(np.abs(got - want)) < 1e-14
+
+
+def test_is_cp_reads_the_smallest_choi_eigenvalue(rng):
+    for _ in range(50):
+        m = unital.UnitalMap(rng.uniform(-1.0, 1.0, 4), rng.uniform(0.0, 2.0 * math.pi, 4))
+        low = float(oracle_eigvals(elementwise_choi(m))[0])
+        if abs(low) > 1e-9:
+            assert unital.is_cp(m, tol=0.0) is (low > 0.0)
+    assert unital.is_cp(unital.UnitalMap((1.0, 1.0, 1.0, 1.0)), tol=1e-9) is True
 
 
 def test_choi_spectra_of_reference_maps():
