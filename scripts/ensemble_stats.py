@@ -32,11 +32,9 @@ class StatsConfig:
 
 
 def measure_report(cfg: StatsConfig, measure: str) -> dict:
-    samples = ensembles.sample_batch(measure, cfg.count, cfg.seed)
-    purity = np.array([s.purity for s in samples])
-    radius = np.array([s.r for s in samples])
-    dets = np.array([s.det for s in samples])
-    eigs = np.concatenate([s.eigs for s in samples])
+    batch = ensembles.sample_batch(measure, cfg.count, cfg.seed)
+    eigs = batch.eigs.ravel()
+    min_eig = batch.eigs.min(axis=1)
 
     edges = np.linspace(0.0, 1.0, cfg.bins + 1)
     hist, _ = np.histogram(eigs, bins=edges)
@@ -53,14 +51,14 @@ def measure_report(cfg: StatsConfig, measure: str) -> dict:
         "measure": measure,
         "count": cfg.count,
         "seed": cfg.seed,
-        "mean_purity": float(purity.mean()),
-        "std_purity": float(purity.std()),
-        "mean_radius": float(radius.mean()),
-        "mean_det": float(dets.mean()),
+        "mean_purity": float(batch.purity.mean()),
+        "std_purity": float(batch.purity.std()),
+        "mean_radius": float(batch.r.mean()),
+        "mean_det": float(batch.det.mean()),
         "min_eig_quantiles": {
-            "q05": float(np.quantile(eigs.reshape(-1, 3).min(axis=1), 0.05)),
-            "q50": float(np.quantile(eigs.reshape(-1, 3).min(axis=1), 0.50)),
-            "q95": float(np.quantile(eigs.reshape(-1, 3).min(axis=1), 0.95)),
+            "q05": float(np.quantile(min_eig, 0.05)),
+            "q50": float(np.quantile(min_eig, 0.50)),
+            "q95": float(np.quantile(min_eig, 0.95)),
         },
         "eig_histogram_csv": csv_path.name,
     }

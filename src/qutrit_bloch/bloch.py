@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotAState, PairingViolation
+from .errors import NotAState
 from .weyl import weyl_op
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "canonical_pair",
     "to_density",
     "from_density",
+    "from_density_batch",
     "purity",
     "to_polar",
     "from_polar",
@@ -97,10 +98,10 @@ class BlochParams:
     def __post_init__(self):
         if len(self.n) != 4 or len(self.theta) != 4:
             raise ValueError("n and theta must have four entries each")
-        object.__setattr__(self, "n", tuple(float(v) for v in self.n))
-        object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
+        object.__setattr__(self, "n", tuple(map(float, self.n)))
+        object.__setattr__(self, "theta", tuple(map(float, self.theta)))
         for nv, tv in zip(self.n, self.theta):
-            if not (np.isfinite(nv) and np.isfinite(tv)):
+            if not (math.isfinite(nv) and math.isfinite(tv)):
                 raise ValueError("non-finite parameter")
             if not (0.0 <= tv < np.pi):
                 raise ValueError(f"angle {tv} outside the canonical [0, pi)")
@@ -219,63 +220,63 @@ def to_density(p: BlochParams) -> np.ndarray:
     return rho / 3.0
 
 
-# adjoint-trace masks: b_pq = Tr(rho U_pq^dag) = sum_ij conj(U_pq[i,j]) rho[i,j]
-_U01 = weyl_op(0, 1)
-_U10 = weyl_op(1, 0)
-_U12 = weyl_op(1, 2)
-_U22 = weyl_op(2, 2)
-_U02 = weyl_op(0, 2)
-_U20 = weyl_op(2, 0)
-_U21 = weyl_op(2, 1)
-_U11 = weyl_op(1, 1)
+# adjoint-trace rows: b_pq = Tr(rho U_pq^dag) = sum_k conj(U_pq)_k rho_k over
+# the flattened matrices; row 0 (the identity) reads the trace, rows 1-4
+# the four primary coefficients in weight order
+_ADJOINT_ROWS = np.conj([weyl_op(*key) for key in ((0, 0),) + _PRIMARY_KEYS]).reshape(5, 1, 9)
+
+
+def from_density_batch(rhos, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical weights and angles of an (N, 3, 3) stack, as (N, 4) arrays.
+
+    Each gate is one reduction over the stack; non-finite entries, or a
+    Hermiticity or unit-trace defect above `tol`, raise NotAState.  The
+    partner coefficients are not read: each differs from its primary's
+    conjugate by Tr((rho - rho^dag) U) for a permutation-phase U, which
+    the Hermiticity gate already bounds by 3 tol.
+    """
+    a = np.asarray(rhos, dtype=complex)
+    if a.ndim != 3 or a.shape[1:] != (3, 3):
+        raise NotAState(f"expected an (N, 3, 3) stack, got {a.shape}")
+    flat = a.reshape(-1, 9)
+    if np.count_nonzero(np.isfinite(flat)) != flat.size:
+        raise NotAState("matrix has non-finite entries")
+    if np.count_nonzero(np.abs(a - a.conj().transpose(0, 2, 1)) > tol):
+        raise NotAState("matrix is not Hermitian within tolerance")
+    # a (1, 9) @ (9, 1) matmul runs the BLAS dot of np.vdot, and hypot the
+    # libm call of abs() on a complex scalar, so each row is bit-identical
+    # to the one-state route of np.vdot per coefficient
+    b = np.matmul(_ADJOINT_ROWS, flat[:, np.newaxis, :, np.newaxis])[:, :, 0, 0]
+    if np.count_nonzero(np.abs(b[:, 0] - 1.0) > tol):
+        raise NotAState("matrix trace differs from 1")
+    b = b[:, 1:]
+    mag = np.hypot(b.real, b.imag)
+    theta = np.arctan2(b.imag, b.real)  # np.angle, in [-pi, pi]
+    # canonical_pair's steps, in its order: with mag >= 0 and theta in
+    # [-pi, pi] its first flip never fires and its remainder is exact; the
+    # second flip catches theta = pi and round-ups of the shift to pi
+    low = theta < 0.0
+    theta = np.where(low, theta + np.pi, theta)
+    high = theta >= np.pi
+    theta = np.where(high, theta - np.pi, theta)
+    n = np.where(low != high, -mag, mag)
+    zero = mag <= _ZERO_WEIGHT
+    n[zero] = 0.0
+    theta[zero] = 0.0
+    return n, theta
 
 
 def from_density(rho, tol: float = 1e-10) -> BlochParams:
     """Canonical parameters of a unit-trace Hermitian matrix.
 
-    Raises NotAState if the input fails the Hermiticity/trace gate, and
-    PairingViolation if the redundant coefficients disagree with their
-    conjugate partners (which cannot happen for a genuinely Hermitian
-    input; the check guards against silent data corruption).
+    Raises NotAState if the input fails the Hermiticity/trace gate; one
+    row of `from_density_batch`.
     """
     a = np.asarray(rho, dtype=complex)
     if a.shape != (3, 3):
         raise NotAState(f"expected a 3x3 matrix, got {a.shape}")
-    if np.abs(a - a.conj().T).max() > tol:
-        raise NotAState("matrix is not Hermitian within tolerance")
-    if abs(np.trace(a) - 1.0) > tol:
-        raise NotAState("matrix trace differs from 1")
-
-    b01 = np.vdot(_U01, a)
-    b10 = np.vdot(_U10, a)
-    b12 = np.vdot(_U12, a)
-    b22 = np.vdot(_U22, a)
-
-    # partner relations; violations mean the input was not a state
-    b02 = np.vdot(_U02, a)
-    b20 = np.vdot(_U20, a)
-    b21 = np.vdot(_U21, a)
-    b11 = np.vdot(_U11, a)
-    pair_dev = max(
-        abs(b02 - np.conj(b01)),
-        abs(b20 - np.conj(b10)),
-        abs(b21 - np.conj(b12) * np.exp(2j * _THIRD_PI)),
-        abs(b11 - np.conj(b22) * np.exp(1j * _THIRD_PI)),
-    )
-    if pair_dev > 3.0 * tol:  # pairing residue of an entrywise-tol Hermitian defect
-        raise PairingViolation(f"coefficient pairing violated by {pair_dev:.3e}")
-
-    ns, ts = [], []
-    for b in (b01, b10, b12, b22):
-        mag = abs(b)
-        if mag <= _ZERO_WEIGHT:
-            ns.append(0.0)
-            ts.append(0.0)
-            continue
-        nv, tv = canonical_pair(mag, float(np.angle(b)))
-        ns.append(nv)
-        ts.append(tv)
-    return BlochParams(tuple(ns), tuple(ts))
+    n, theta = from_density_batch(a[np.newaxis], tol)
+    return BlochParams(n[0].tolist(), theta[0].tolist())
 
 
 def purity(p: BlochParams) -> float:

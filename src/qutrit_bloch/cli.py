@@ -24,6 +24,8 @@ import io
 import json
 import sys
 
+import numpy as np
+
 from . import ensembles, gellmann, mub, positivity, sections, unital
 from .bloch import (
     BlochParams,
@@ -35,13 +37,17 @@ from .errors import QutritBlochError
 
 DEFAULT_SEED = 0xB10C
 
+# Largest working set a `sample` or `scan` request may ask for (4 GiB).
+# A request is estimated as its sampled states or raster points times
+# _BYTES_PER_UNIT (measured peaks: about 1.5 kB per state, at most 1.2 kB
+# per point) and refused with exit 2, before anything is allocated, when
+# the estimate exceeds the budget.
+BYTE_BUDGET = 4 << 30
+_BYTES_PER_UNIT = 2048
+
 _SAMPLE_HEADER = (
     "seed,index,eig1,eig2,eig3,n1,n2,n3,n4,theta1,theta2,theta3,theta4,r,det,purity"
 )
-
-
-def _f(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _read_json(path: str | None) -> dict:
@@ -62,6 +68,14 @@ def _write_text(text: str, path: str | None) -> None:
 
 def _emit_json(doc: dict, path: str | None) -> None:
     _write_text(json.dumps(doc, indent=2) + "\n", path)
+
+
+def _check_budget(what: str, units: int) -> None:
+    need = units * _BYTES_PER_UNIT
+    if need > BYTE_BUDGET:
+        raise QutritBlochError(
+            f"{what} needs about {need:.3g} bytes, above the {BYTE_BUDGET} byte budget"
+        )
 
 
 def _floats(text: str, expect: int | None = None, flag: str = "") -> tuple[float, ...]:
@@ -121,6 +135,8 @@ def _cmd_scan(args) -> int:
         grid_steps=args.grid_steps,
         refine=not args.no_refine,
     )
+    points = spec.resolution ** (2 if spec.theta_policy == "grid" else len(spec.axes))
+    _check_budget(f"--resolution {spec.resolution} ({points} points)", points)
     header, rows = sections.scan(spec)
     buf = io.StringIO()
     sections.write_csv(header, rows, buf)
@@ -169,7 +185,8 @@ def _cmd_unital(args) -> int:
         "slacks": None,
     }
     if all(v == 0.0 for v in phi):
-        ok, slacks = unital.polytope_check(lam)
+        # one scale for both verdicts: the Choi eigenvalues are p_b = slack / 3
+        ok, slacks = unital.polytope_check(lam, tol=3.0 * args.tol)
         report.update(polytope=ok, slacks=list(slacks))
     _emit_json(report, args.output)
     return 0
@@ -178,18 +195,14 @@ def _cmd_unital(args) -> int:
 def _cmd_sample(args) -> int:
     if args.count < 1:
         raise QutritBlochError("--count must be at least 1")
-    samples = ensembles.sample_batch(args.ensemble, args.count, args.seed)
-    lines = [_SAMPLE_HEADER]
-    for idx, s in enumerate(samples):
-        cells = (
-            [str(args.seed), str(idx)]
-            + [_f(v) for v in s.eigs]
-            + [_f(v) for v in s.bloch.n]
-            + [_f(v) for v in s.bloch.theta]
-            + [_f(s.r), _f(s.det), _f(s.purity)]
-        )
-        lines.append(",".join(cells))
-    _write_text("\n".join(lines) + "\n", args.output)
+    _check_budget(f"--count {args.count}", args.count)
+    b = ensembles.sample_batch(args.ensemble, args.count, args.seed)
+    table = np.column_stack((np.arange(len(b)), b.eigs, b.n, b.theta, b.r, b.det, b.purity))
+    # one format call for every row: "%.17g" % v is format(v, ".17g"), and
+    # the index column holds exact floats
+    row = f"{args.seed},%d," + ",".join(["%.17g"] * 14) + "\n"
+    _write_text(_SAMPLE_HEADER + "\n" + (row * len(b)) % tuple(table.ravel().tolist()),
+                args.output)
     return 0
 
 

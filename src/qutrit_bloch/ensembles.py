@@ -8,6 +8,8 @@ Samplers (Ginibre-based, seeded via numpy's PCG64 `default_rng`):
 Per sample the generator is consumed in a fixed order (real then
 imaginary Ginibre block, then - for Bures - the unitary's block), so a
 batch of size k reproduces the first k samples of any larger batch.
+`sample_batch` returns the draws as columns (spectrum, chart, radius,
+determinant, purity), each one array pass over the stack.
 
 Density evaluators (normalization constants set to 1 throughout; every
 statistical test is a shape/ratio test):
@@ -23,16 +25,20 @@ statistical test is a shape/ratio test):
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import matcore
-from .bloch import BlochParams, from_density, polar_weights, to_density
+from .bloch import BlochParams, from_density_batch, polar_weights, to_density
+# also bound here, where benchmarks/test_benchmark.py checks the binding
+from .bloch import from_density  # noqa: F401
 from .errors import DegenerateBures, OriginSingularity, OutsideSphere
 
 __all__ = [
+    "EnsembleBatch",
     "EnsembleSample",
     "as_rng",
     "ginibre",
@@ -51,6 +57,7 @@ __all__ = [
 ]
 
 MEASURES = ("hs", "bures")
+_GATE_TOL = 1e-10  # Hermiticity/trace gate on sampled matrices, as from_density's default
 
 
 def as_rng(seed_or_rng) -> np.random.Generator:
@@ -112,31 +119,66 @@ class EnsembleSample:
         return (1.0 + 2.0 * self.r * self.r) / 3.0
 
 
-def _record(rho: np.ndarray, measure: str) -> EnsembleSample:
-    eigs = tuple(float(x) for x in matcore.herm_eigvals(rho))
-    p = from_density(rho)
-    return EnsembleSample(
-        rho=rho,
-        eigs=eigs,
-        bloch=p,
-        r=p.radius,
-        det=float(matcore.det(rho).real),
+@dataclass(frozen=True)
+class EnsembleBatch:
+    """Sampled states as columns: row k of every array belongs to draw k.
+
+    Indexing or iterating yields one `EnsembleSample` per row.
+    """
+
+    measure: str
+    rho: np.ndarray  # (N, 3, 3)
+    eigs: np.ndarray  # (N, 3), ascending
+    n: np.ndarray  # (N, 4), canonical weights
+    theta: np.ndarray  # (N, 4), canonical angles
+    r: np.ndarray  # (N,)
+    det: np.ndarray  # (N,)
+    purity: np.ndarray  # (N,)
+
+    def __len__(self) -> int:
+        return len(self.rho)
+
+    def __getitem__(self, index) -> EnsembleSample:
+        k = range(len(self))[operator.index(index)]
+        return EnsembleSample(
+            rho=self.rho[k],
+            eigs=tuple(self.eigs[k].tolist()),
+            bloch=BlochParams(self.n[k].tolist(), self.theta[k].tolist()),
+            r=float(self.r[k]),
+            det=float(self.det[k]),
+            measure=self.measure,
+        )
+
+    def __iter__(self) -> Iterator[EnsembleSample]:
+        return (self[k] for k in range(len(self)))
+
+
+def sample_batch(measure: str, count: int, seed_or_rng) -> EnsembleBatch:
+    """`count` draws and their coordinates, one array pass per column."""
+    rho = sample_rhos(measure, count, seed_or_rng)
+    n, theta = from_density_batch(rho, _GATE_TOL)
+    sq = n * n
+    r = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3])  # BlochParams.radius's order
+    return EnsembleBatch(
         measure=measure,
+        rho=rho,
+        eigs=np.linalg.eigvalsh(rho),
+        n=n,
+        theta=theta,
+        r=r,
+        det=matcore.det_batch(rho).real,
+        purity=(1.0 + 2.0 * r * r) / 3.0,
     )
 
 
 def sample_hs(seed_or_rng) -> EnsembleSample:
     """One Hilbert-Schmidt draw (equals the first entry of any batch)."""
-    return _record(sample_rhos("hs", 1, seed_or_rng)[0], "hs")
+    return sample_batch("hs", 1, seed_or_rng)[0]
 
 
 def sample_bures(seed_or_rng) -> EnsembleSample:
     """One Bures draw (equals the first entry of any batch)."""
-    return _record(sample_rhos("bures", 1, seed_or_rng)[0], "bures")
-
-
-def sample_batch(measure: str, count: int, seed_or_rng) -> list[EnsembleSample]:
-    return [_record(rho, measure) for rho in sample_rhos(measure, count, seed_or_rng)]
+    return sample_batch("bures", 1, seed_or_rng)[0]
 
 
 # --- densities on the eigenvalue simplex ---------------------------------
@@ -253,33 +295,25 @@ def identity_checks(sample_count: int, seed) -> dict:
     (c) the radial HS numerator / 27 equals the squared Vandermonde.
     Returns max relative errors; near-degenerate draws are skipped.
     """
-    rng = as_rng(seed)
-    rhos = sample_rhos("hs", sample_count, rng)
-    worst = {"sum_pairs": 0.0, "det": 0.0, "hs_numerator": 0.0}
-    skipped = 0
-    for rho in rhos:
-        l1, l2, l3 = matcore.herm_eigvals(rho)
-        vandermonde = ((l1 - l2) * (l1 - l3) * (l2 - l3)) ** 2
-        if vandermonde < 1e-14:
-            skipped += 1
-            continue
-        p = from_density(rho)
-        r = p.radius
-        d = float(matcore.det(rho).real)
-        pair_prod = (l1 + l2) * (l1 + l3) * (l2 + l3)
-        gap = (1.0 - r * r) / 3.0 - d
-        num = ((r - 1.0) ** 2 * (2.0 * r + 1.0) - 27.0 * d) * (
-            (r + 1.0) ** 2 * (2.0 * r - 1.0) + 27.0 * d
-        )
-        worst["sum_pairs"] = max(worst["sum_pairs"], abs(gap - pair_prod) / abs(pair_prod))
-        worst["det"] = max(worst["det"], abs(d - l1 * l2 * l3) / max(abs(d), 1e-300))
-        worst["hs_numerator"] = max(
-            worst["hs_numerator"], abs(num / 27.0 - vandermonde) / vandermonde
-        )
+    batch = sample_batch("hs", sample_count, seed)
+    l1, l2, l3 = batch.eigs.T
+    vandermonde = ((l1 - l2) * (l1 - l3) * (l2 - l3)) ** 2
+    keep = vandermonde >= 1e-14
+    l1, l2, l3, vandermonde = l1[keep], l2[keep], l3[keep], vandermonde[keep]
+    r, d = batch.r[keep], batch.det[keep]
+    pair_prod = (l1 + l2) * (l1 + l3) * (l2 + l3)
+    gap = (1.0 - r * r) / 3.0 - d
+    num = ((r - 1.0) ** 2 * (2.0 * r + 1.0) - 27.0 * d) * (
+        (r + 1.0) ** 2 * (2.0 * r - 1.0) + 27.0 * d
+    )
+
+    def worst(rel: np.ndarray) -> float:
+        return float(np.max(rel, initial=0.0))
+
     return {
         "count": int(sample_count),
-        "skipped_near_degenerate": skipped,
-        "max_rel_sum_pairs": worst["sum_pairs"],
-        "max_rel_det": worst["det"],
-        "max_rel_hs_numerator": worst["hs_numerator"],
+        "skipped_near_degenerate": int(np.count_nonzero(~keep)),
+        "max_rel_sum_pairs": worst(np.abs(gap - pair_prod) / np.abs(pair_prod)),
+        "max_rel_det": worst(np.abs(d - l1 * l2 * l3) / np.maximum(np.abs(d), 1e-300)),
+        "max_rel_hs_numerator": worst(np.abs(num / 27.0 - vandermonde) / vandermonde),
     }

@@ -21,10 +21,6 @@ class NotAState(QutritBlochError):
     """Input is not a unit-trace Hermitian matrix within tolerance."""
 
 
-class PairingViolation(QutritBlochError):
-    """Bloch coefficients violate the conjugate-pairing relations."""
-
-
 class NotPrime(QutritBlochError):
     """Dimension must be prime for this construction."""
 

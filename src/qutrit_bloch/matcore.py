@@ -4,6 +4,8 @@ Only the dimensions that actually occur here are supported: 2x2 and 3x3
 (qubit/qutrit states) and 9x9.  Hermitian spectra take one path: the
 input is validated (finite, square, a supported dimension, Hermitian
 within tolerance) and handed to LAPACK through `numpy.linalg.eigvalsh`.
+3x3 determinants take one cofactor expansion in real arithmetic, for
+one matrix (`det`) or a stack (`det_batch`).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionUnsupported, NonHermitian
 
-__all__ = ["as_matrix", "herm_eigvals", "det"]
+__all__ = ["as_matrix", "herm_eigvals", "det", "det_batch"]
 
 _EIG_DIMS = (2, 3, 9)
 
@@ -22,7 +24,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionUnsupported(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if np.count_nonzero(np.isfinite(a)) != a.size:
         raise ValueError("matrix has non-finite entries")
     return a
 
@@ -43,14 +45,42 @@ def herm_eigvals(m, tol: float = 1e-10) -> np.ndarray:
     return np.linalg.eigvalsh(a)
 
 
+def _cmul(p, q):
+    """Product of two (re, im) pairs, rounded as numpy's complex scalar
+    multiply rounds it (its array loop may fuse multiply-adds)."""
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
+def _csub(p, q):
+    return p[0] - q[0], p[1] - q[1]
+
+
+def _cofactor3(e):
+    """(re, im) of a 3x3 determinant by cofactor expansion along row 0;
+    `e` is a 3x3 grid of (re, im) pairs of floats or equal-shape arrays."""
+    (a, b, c), (d, f, g), (h, i, j) = e
+    x = _cmul(a, _csub(_cmul(f, j), _cmul(g, i)))
+    y = _cmul(b, _csub(_cmul(d, j), _cmul(g, h)))
+    z = _cmul(c, _csub(_cmul(d, i), _cmul(f, h)))
+    return x[0] - y[0] + z[0], x[1] - y[1] + z[1]
+
+
 def det(m) -> complex:
     """Determinant; cofactor expansion at 3x3, LU elsewhere."""
     a = as_matrix(m)
     if a.shape[0] == 3:
-        return (
-            a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-            - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-            + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-        )
+        return complex(*_cofactor3([[(v.real, v.imag) for v in row] for row in a.tolist()]))
     return complex(np.linalg.det(a))
 
+
+def det_batch(m) -> np.ndarray:
+    """Determinants of an (N, 3, 3) stack; row k equals det(m[k]) bit for bit."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 3 or a.shape[1:] != (3, 3):
+        raise DimensionUnsupported(f"expected an (N, 3, 3) stack, got shape {a.shape}")
+    if np.count_nonzero(np.isfinite(a)) != a.size:
+        raise ValueError("matrix has non-finite entries")
+    re, im = _cofactor3([[(a[:, i, j].real, a[:, i, j].imag) for j in range(3)] for i in range(3)])
+    out = np.empty(len(a), dtype=complex)
+    out.real, out.imag = re, im
+    return out

@@ -146,13 +146,14 @@ _CONSTRAINTS = np.array(
 )
 
 
-def polytope_check(lam: Sequence[float]) -> tuple[bool, tuple[float, float, float, float, float]]:
-    """Evaluate the five inequalities; returns (all hold, slack vector)."""
+def polytope_check(lam: Sequence[float], tol: float = 1e-12
+                   ) -> tuple[bool, tuple[float, float, float, float, float]]:
+    """Evaluate the five inequalities; returns (every slack >= -tol, slack vector)."""
     lam = np.asarray([float(v) for v in lam])
     if lam.shape != (4,):
         raise ValueError("lambda must have four entries")
     slacks = 1.0 + _CONSTRAINTS @ lam
-    return bool(np.all(slacks >= -1e-12)), tuple(float(s) for s in slacks)
+    return bool(np.all(slacks >= -tol)), tuple(float(s) for s in slacks)
 
 
 def polytope_vertices() -> tuple[tuple[float, float, float, float], ...]:

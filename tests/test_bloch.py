@@ -1,5 +1,6 @@
-"""Chart parametrization: canonical gauge, matrix round trips, pairing
-enforcement, polar coordinates, and the JSON document format."""
+"""Chart parametrization: canonical gauge, matrix round trips, the
+batched chart core, the pairing bound behind the Hermiticity gate, polar
+coordinates, and the JSON document format."""
 
 import cmath
 import json
@@ -14,6 +15,7 @@ from conftest import random_density, random_params
 from qutrit_bloch import bloch
 from qutrit_bloch.bloch import BlochParams, PolarParams
 from qutrit_bloch.errors import NotAState
+from qutrit_bloch.weyl import weyl_op
 
 finite_weights = st.floats(
     min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False
@@ -211,6 +213,87 @@ def test_hermiticity_gate_and_pairing(rng):
     herm = rho + 0.6j * (weyl_op(0, 1, 3) - weyl_op(0, 2, 3))  # hermitian, not positive
     p = bloch.from_density(herm)
     assert np.max(np.abs(bloch.to_density(p) - herm)) < 1e-12
+
+
+# partner key, primary key, phase c with b_partner = c conj(b_primary) for
+# Hermitian input
+_PARTNERS = (
+    ((0, 2), (0, 1), 1.0),
+    ((2, 0), (1, 0), 1.0),
+    ((2, 1), (1, 2), cmath.exp(2j * math.pi / 3.0)),
+    ((1, 1), (2, 2), cmath.exp(1j * math.pi / 3.0)),
+)
+
+
+def _partner_residues(a) -> list[float]:
+    """|b_partner - c conj(b_primary)| by adjoint traces, per pair."""
+    return [
+        abs(np.vdot(weyl_op(*partner), a) - c * np.conj(np.vdot(weyl_op(*primary), a)))
+        for partner, primary, c in _PARTNERS
+    ]
+
+
+def test_pairing_residues_bounded_by_hermiticity_gate(rng):
+    """Each partner residue is Tr((rho - rho^dag) U) for a permutation-phase
+    U, so an input that passes the entrywise Hermiticity gate at tol has
+    residues <= 3 tol; this is why from_density reads only the four
+    primary coefficients.  Adversarial defects put |rho - rho^dag| just
+    under tol on U's support, phase-aligned so the three terms add up."""
+    tol = 1e-10
+    edge = tol * (1.0 - 1e-6)
+    for _ in range(20):
+        rho = random_density(rng)
+        for partner, primary, _c in _PARTNERS:
+            u = weyl_op(*primary)
+            # Tr(U M) = sum_ij U[i, j] M[j, i]; align each term with conj(U[i, j])
+            m = edge * u.conj().T
+            m = (m - m.conj().T) / 2.0  # the defect rho - rho^dag is anti-Hermitian
+            m *= edge / np.abs(m).max()
+            a = rho + m / 2.0
+            defect = np.abs(a - a.conj().T).max()
+            assert defect <= tol
+            worst = max(_partner_residues(a))
+            assert worst <= 3.0 * tol
+            if primary != (1, 0):  # off-diagonal support: the bound is attained
+                assert worst >= 2.99 * tol
+            if np.all(np.diag(m) == 0.0):  # trace untouched: the chart accepts it
+                p = bloch.from_density(a, tol=tol)
+                assert np.max(np.abs(bloch.to_density(p) - a)) < 1e-9
+        for _ in range(50):  # random defects scaled to the gate's edge
+            g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            m = g - g.conj().T
+            m *= edge / np.abs(m).max()
+            assert max(_partner_residues(rho + m / 2.0)) <= 3.0 * tol
+
+
+def test_from_density_batch_rows_match_one_row_calls(rng):
+    rhos = np.stack([random_density(rng) for _ in range(40)])
+    n, theta = bloch.from_density_batch(rhos, 1e-10)
+    assert n.shape == theta.shape == (40, 4)
+    for k, rho in enumerate(rhos):
+        p = bloch.from_density(rho)
+        assert p.n == tuple(n[k]) and p.theta == tuple(theta[k])
+    empty_n, empty_theta = bloch.from_density_batch(np.zeros((0, 3, 3)), 1e-10)
+    assert empty_n.shape == empty_theta.shape == (0, 4)
+
+
+def test_from_density_batch_gates():
+    good = np.eye(3, dtype=complex) / 3.0
+    bad_herm = good.copy()
+    bad_herm[0, 1] = 1e-3
+    with pytest.raises(NotAState, match="Hermitian"):
+        bloch.from_density_batch(np.stack([good, bad_herm]), 1e-10)
+    with pytest.raises(NotAState, match="trace"):
+        bloch.from_density_batch(np.stack([good, 2.0 * good]), 1e-10)
+    for v in (np.nan, np.inf):
+        bad = good.copy()
+        bad[2, 2] = v
+        with pytest.raises(NotAState, match="non-finite"):
+            bloch.from_density_batch(np.stack([good, bad]), 1e-10)
+        with pytest.raises(NotAState, match="non-finite"):
+            bloch.from_density(bad)
+    with pytest.raises(NotAState, match="stack"):
+        bloch.from_density_batch(np.eye(3), 1e-10)
 
 
 def test_document_cross_validation(rng):

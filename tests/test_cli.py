@@ -126,6 +126,33 @@ def test_threads_flag_is_gone(invoke):
         assert "--threads" in err
 
 
+def test_scan_resolution_over_budget_is_refused_before_allocation(invoke, monkeypatch):
+    """A raster of 10^24 points (about 2e27 bytes) exits 2 before any work;
+    the largest two-axis resolution inside the budget reaches `scan`."""
+    from qutrit_bloch import sections
+
+    reached = []
+
+    def fake_scan(spec):
+        reached.append(spec.resolution)
+        return ["n1", "n2", "feasible", "a3_max"], []
+
+    monkeypatch.setattr(sections, "scan", fake_scan)
+    for argv in (["scan", "--kind", "three", "--axes", "1,2,3", "--resolution", "100000000"],
+                 ["scan", "--kind", "one", "--axes", "2", "--resolution", "1000000000000",
+                  "--theta-policy", "grid"]):
+        code, out, err = invoke(argv)
+        assert code == 2 and out == ""
+        assert "byte budget" in err and "--resolution" in err
+    assert reached == []
+    edge = math.isqrt(cli.BYTE_BUDGET // cli._BYTES_PER_UNIT)
+    for resolution, expect in ((edge, 0), (edge + 1, 2)):
+        code, _, err = invoke(["scan", "--kind", "two", "--axes", "1,2",
+                               "--resolution", str(resolution)])
+        assert code == expect, err
+    assert reached == [edge]
+
+
 # --- mub ------------------------------------------------------------------------
 
 
@@ -208,6 +235,41 @@ def test_unital_check_and_choi_report_one_spectrum(invoke, flags, cp):
     assert np.max(np.abs(np.linalg.eigvalsh(mat) - choi["eigenvalues"])) < 1e-13
 
 
+def test_unital_check_verdicts_agree_on_the_found_channel(invoke):
+    """cp used --tol on p_b while the polytope used a fixed 1e-12 on the
+    slacks, so this channel read cp true and polytope false."""
+    code, out, _ = invoke(["unital", "check", "--lam=1,1,1,1.0000000003"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["cp"] is True and doc["polytope"] is True
+    assert min(doc["slacks"]) < 0.0
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_unital_check_verdicts_agree_on_boundary_channels(invoke, tol):
+    """Channels with one slack within +-10 tol of zero: cp (p_b >= -tol) and
+    polytope (slack / 3 >= -tol) never disagree, on either side."""
+    from qutrit_bloch import unital
+
+    rng = np.random.default_rng(4242)
+    rows = unital._CONSTRAINTS
+    seen = set()
+    for _ in range(120):
+        i = int(rng.integers(5))
+        lam = rng.uniform(-0.4, 0.4, 4)
+        c = rows[i]
+        slack = rng.uniform(-10.0, 10.0) * 3.0 * tol  # p_b within +-10 tol of 0
+        lam += (slack - 1.0 - c @ lam) * c / (c @ c)  # put row i's slack there
+        code, out, _ = invoke(["unital", "check", "--lam=" + ",".join(repr(float(v)) for v in lam),
+                               "--tol", repr(tol)])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["cp"] is doc["polytope"], (lam, doc)
+        assert abs(doc["slacks"][i] - slack) < 1e-12
+        seen.add(doc["cp"])
+    assert seen == {True, False}
+
+
 # --- sample ---------------------------------------------------------------------
 
 
@@ -245,6 +307,49 @@ def test_sample_count_validation(invoke):
     code, _, err = invoke(["sample", "--ensemble", "hs", "--count", "0"])
     assert code == 2
     assert "count" in err
+
+
+def test_sample_count_over_budget_is_refused_before_allocation(invoke, monkeypatch):
+    """10^18 states (about 2 exabytes) exit 2 before anything is drawn."""
+    from qutrit_bloch import ensembles
+
+    def must_not_run(*args):
+        raise AssertionError("sample_rhos ran despite the byte budget")
+
+    monkeypatch.setattr(ensembles, "sample_rhos", must_not_run)
+    code, out, err = invoke(["sample", "--ensemble", "bures", "--count", str(10 ** 18)])
+    assert code == 2 and out == ""
+    assert "byte budget" in err and "--count" in err
+    limit = cli.BYTE_BUDGET // cli._BYTES_PER_UNIT
+    code, out, err = invoke(["sample", "--ensemble", "hs", "--count", str(limit + 1)])
+    assert code == 2 and "byte budget" in err
+
+
+def test_sample_stdout_repeats_byte_for_byte(invoke):
+    argv = ["sample", "--ensemble", "bures", "--count", "50", "--seed", str(2 ** 70 + 3)]
+    code, out, _ = invoke(argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == cli._SAMPLE_HEADER == (
+        "seed,index,eig1,eig2,eig3,n1,n2,n3,n4,theta1,theta2,theta3,theta4,r,det,purity"
+    )
+    assert len(lines) == 51 and out.endswith("\n")
+    # the seed is printed as given, even beyond float precision
+    assert all(line.split(",")[:2] == [str(2 ** 70 + 3), str(k)]
+               for k, line in enumerate(lines[1:]))
+    for _ in range(2):
+        assert invoke(argv)[1] == out
+
+
+def test_sample_cells_are_17_digit_column_values(invoke):
+    from qutrit_bloch import ensembles
+
+    code, out, _ = invoke(["sample", "--ensemble", "hs", "--count", "30", "--seed", "4"])
+    assert code == 0
+    b = ensembles.sample_batch("hs", 30, 4)
+    for k, line in enumerate(out.splitlines()[1:]):
+        values = [*b.eigs[k], *b.n[k], *b.theta[k], b.r[k], b.det[k], b.purity[k]]
+        assert line.split(",")[2:] == [format(float(v), ".17g") for v in values]
 
 
 # --- density --------------------------------------------------------------------

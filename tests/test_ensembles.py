@@ -1,5 +1,6 @@
-"""Random-state samplers (determinism, physicality, golden values) and
-the closed-form measure densities with their spectral identities."""
+"""Random-state samplers (determinism, physicality, golden values, the
+columns against a frozen per-state oracle) and the closed-form measure
+densities with their spectral identities."""
 
 import math
 
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import oracle_eigvals
 from qutrit_bloch import ensembles
+from qutrit_bloch.weyl import weyl_op
 from qutrit_bloch.errors import (
     DegenerateBures,
     OriginSingularity,
@@ -74,6 +76,106 @@ def test_sample_record_consistency():
         assert abs(s.r - math.sqrt(sum(v * v for v in s.bloch.n))) < 1e-13
         assert abs(s.det - np.linalg.det(s.rho).real) < 1e-13
         assert abs(s.purity - np.trace(s.rho @ s.rho).real) < 1e-12
+
+
+# --- frozen per-state reference -----------------------------------------------
+#
+# The sampler's earlier per-state route, kept verbatim as the oracle of the
+# columnar one: one np.vdot per coefficient, the scalar gauge reduction, a
+# one-matrix LAPACK call and a cofactor expansion on numpy scalars.
+
+_ORACLE_OPS = [weyl_op(*key) for key in ((0, 1), (1, 0), (1, 2), (2, 2))]
+
+
+def _oracle_canonical_pair(n, theta, zero_tol=1e-13):
+    if abs(n) <= zero_tol:
+        return 0.0, 0.0
+    if n < 0.0:
+        n, theta = -n, theta + np.pi
+    theta = math.remainder(float(theta), 2.0 * np.pi)
+    if theta < 0.0:
+        n, theta = -n, theta + np.pi
+    if theta >= np.pi:
+        n, theta = -n, theta - np.pi
+    return float(n), float(theta)
+
+
+def _oracle_record(rho):
+    """(eigs, n, theta, det) of one matrix by the per-state route."""
+    ns, ts = [], []
+    for u in _ORACLE_OPS:
+        b = np.vdot(u, rho)
+        mag = abs(b)
+        if mag <= 1e-13:
+            ns.append(0.0)
+            ts.append(0.0)
+            continue
+        nv, tv = _oracle_canonical_pair(mag, float(np.angle(b)))
+        ns.append(nv)
+        ts.append(tv)
+    a = rho
+    det = (
+        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
+        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
+        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
+    )
+    return np.linalg.eigvalsh(rho), np.array(ns), np.array(ts), float(det.real)
+
+
+@pytest.mark.parametrize("measure", ["hs", "bures"])
+@pytest.mark.parametrize("seed", [3, 1618, 2 ** 40 + 7])
+def test_columns_match_frozen_per_state_oracle(measure, seed):
+    batch = ensembles.sample_batch(measure, 300, seed)
+    assert len(batch) == 300 and batch.measure == measure
+    for k, rho in enumerate(batch.rho):
+        eigs, n, theta, det = _oracle_record(rho)
+        assert np.array_equal(batch.eigs[k], eigs)
+        assert batch.det[k] == det
+        assert np.max(np.abs(batch.n[k] - n)) <= 1e-15
+        # the complex coefficient n e^{i theta}, free of theta's 1/|b| blow-up
+        assert np.max(np.abs(batch.n[k] * np.exp(1j * batch.theta[k])
+                             - n * np.exp(1j * theta))) <= 1e-15
+    assert np.all((batch.theta >= 0.0) & (batch.theta < np.pi))
+    assert np.all(batch.theta[batch.n == 0.0] == 0.0)
+    sq = batch.n * batch.n
+    assert np.array_equal(batch.r, np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3]))
+    assert np.array_equal(batch.purity, (1.0 + 2.0 * batch.r * batch.r) / 3.0)
+
+
+@pytest.mark.parametrize("measure", ["hs", "bures"])
+def test_column_prefix_property(measure):
+    big = ensembles.sample_batch(measure, 9, 321)
+    small = ensembles.sample_batch(measure, 4, 321)
+    for name in ("rho", "eigs", "n", "theta", "r", "det", "purity"):
+        assert np.array_equal(getattr(big, name)[:4], getattr(small, name)), name
+
+
+@pytest.mark.parametrize("measure", ["hs", "bures"])
+def test_empty_batch_has_zero_rows(measure):
+    batch = ensembles.sample_batch(measure, 0, 5)
+    assert len(batch) == 0 and list(batch) == []
+    for name, width in (("rho", (3, 3)), ("eigs", (3,)), ("n", (4,)), ("theta", (4,)),
+                        ("r", ()), ("det", ()), ("purity", ())):
+        assert getattr(batch, name).shape == (0, *width), name
+    with pytest.raises(IndexError):
+        batch[0]
+
+
+def test_rows_read_the_columns():
+    batch = ensembles.sample_batch("bures", 5, 8)
+    rows = list(batch)
+    assert len(rows) == 5
+    for k, s in enumerate(rows):
+        assert s.measure == "bures"
+        assert np.array_equal(s.rho, batch.rho[k])
+        assert s.eigs == tuple(batch.eigs[k])
+        assert s.bloch.n == tuple(batch.n[k]) and s.bloch.theta == tuple(batch.theta[k])
+        assert (s.r, s.det, s.purity) == (batch.r[k], batch.det[k], batch.purity[k])
+    assert batch[-1].bloch == rows[4].bloch and np.array_equal(batch[-1].rho, rows[4].rho)
+    with pytest.raises(IndexError):
+        batch[5]
+    with pytest.raises(TypeError):
+        batch[1:3]
 
 
 def test_haar_unitary_properties():
@@ -202,3 +304,32 @@ def test_identity_checks_tight():
     assert out["max_rel_det"] < 1e-10
     assert out["max_rel_hs_numerator"] < 1e-10
     assert out["skipped_near_degenerate"] < 25
+
+
+def test_identity_checks_keys_and_numpy_recount(monkeypatch):
+    """Keys and the degenerate-draw count against a numpy-only recount of
+    the same 2 000 draws, every relative error inside 1e-8.  Seeded HS
+    draws are never this degenerate, so rotated copies of three
+    (near-)degenerate spectra are appended to exercise the skip."""
+    draws = ensembles.sample_rhos("hs", 2000, 77)
+    rng = ensembles.as_rng(78)
+    spectra = ((1 / 3, 1 / 3, 1 / 3), (0.5, 0.5, 0.0), (0.4, 0.4 + 1e-6, 0.2 - 1e-6))
+    extra = []
+    for lam in spectra:
+        u = ensembles.haar_unitary(rng)
+        extra.append(u @ np.diag(lam) @ u.conj().T)
+    stack = np.concatenate([draws, np.array(extra)])
+    stack /= np.trace(stack, axis1=1, axis2=2).real[:, None, None]
+    monkeypatch.setattr(ensembles, "sample_rhos", lambda measure, count, seed: stack)
+
+    out = ensembles.identity_checks(2000, 77)
+    assert list(out) == ["count", "skipped_near_degenerate", "max_rel_sum_pairs",
+                         "max_rel_det", "max_rel_hs_numerator"]
+    lam = np.linalg.eigvalsh(stack)
+    l1, l2, l3 = lam[:, 0], lam[:, 1], lam[:, 2]
+    skipped = int(np.sum(((l1 - l2) * (l1 - l3) * (l2 - l3)) ** 2 < 1e-14))
+    assert skipped == 3
+    assert out["count"] == 2000
+    assert out["skipped_near_degenerate"] == skipped
+    for key in ("max_rel_sum_pairs", "max_rel_det", "max_rel_hs_numerator"):
+        assert 0.0 <= out[key] < 1e-8, key

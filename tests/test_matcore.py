@@ -84,3 +84,21 @@ def test_det_matches_permutation_expansion(rng):
         ref = oracle_det(g)
         assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
+
+
+def test_det_batch_rows_equal_scalar_det(rng):
+    """The stacked expansion rounds like the one-matrix call, bit for bit."""
+    g = rng.standard_normal((200, 3, 3)) + 1j * rng.standard_normal((200, 3, 3))
+    got = matcore.det_batch(g)
+    assert got.shape == (200,)
+    for k in range(200):
+        assert complex(got[k]) == matcore.det(g[k])
+        ref = oracle_det(g[k])
+        assert abs(got[k] - ref) <= 1e-12 * max(1.0, abs(ref))
+    assert matcore.det_batch(np.zeros((0, 3, 3))).shape == (0,)
+    with pytest.raises(DimensionUnsupported):
+        matcore.det_batch(np.eye(3))
+    bad = g[:2].copy()
+    bad[1, 0, 0] = np.nan
+    with pytest.raises(ValueError):
+        matcore.det_batch(bad)

@@ -216,3 +216,13 @@ def test_unital_map_validation():
         unital.UnitalMap((1.0, 1.0, 1.0, 1.0), (0.0,))
     with pytest.raises(ValueError):
         unital.UnitalMap((1.0, 1.0, 1.0, float("nan")))
+
+
+def test_polytope_check_tolerance_keyword():
+    """The default floor stays 1e-12; `tol` moves it (the CLI passes 3 tol,
+    the slack scale of the Choi floor p_b >= -tol)."""
+    lam = (1.0, 1.0, 1.0, 1.0 + 3e-10)
+    ok, slacks = unital.polytope_check(lam)
+    assert not ok and min(slacks) < -1e-12
+    assert unital.polytope_check(lam, tol=3e-9) == (True, slacks)
+    assert not unital.polytope_check(lam, tol=1e-10)[0]
