@@ -137,9 +137,9 @@ def _cmd_scan(args) -> int:
     )
     points = spec.resolution ** (2 if spec.theta_policy == "grid" else len(spec.axes))
     _check_budget(f"--resolution {spec.resolution} ({points} points)", points)
-    header, rows = sections.scan(spec)
+    header, raster = sections.scan(spec)
     buf = io.StringIO()
-    sections.write_csv(header, rows, buf)
+    sections.write_csv(header, raster, buf)
     _write_text(buf.getvalue(), args.output)
     return 0
 

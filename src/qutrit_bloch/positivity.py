@@ -396,7 +396,8 @@ def max_a3_batch(n, grid_steps: int = 8, refine: bool = True, tol: float = 1e-10
       spacing.  A row is certified once L >= -27 tol or U < -27 tol (in
       bracket units); the others, and only those, are searched again on
       a grid of twice the steps, until the grid would exceed
-      `_MAX_GRID_POINTS` points.
+      `_MAX_GRID_POINTS` points.  A batch whose first grid already
+      exceeds it raises ValueError before any search.
     """
     n = np.asarray(n, dtype=float)
     if n.ndim != 2 or n.shape[1] != 4:
@@ -404,6 +405,12 @@ def max_a3_batch(n, grid_steps: int = 8, refine: bool = True, tol: float = 1e-10
     if grid_steps < 1:
         raise ValueError("grid_steps must be at least 1")
     active = np.abs(n) > _ACTIVE_WEIGHT
+    # the first grid of `_grid_axes`: 3 g^3 points for three active
+    # weights, 9 g^4 for four
+    most = int(np.sum(active, axis=1).max(initial=0))
+    if most > 2 and 3 ** (most - 2) * int(grid_steps) ** most > _MAX_GRID_POINTS:
+        raise ValueError(f"grid_steps {grid_steps} gives a first angle grid above "
+                         f"{_MAX_GRID_POINTS} points for {most} active weights")
     n = np.where(active, n, 0.0)
     a3 = np.empty(len(n))
     theta = np.zeros((len(n), 4))

@@ -10,10 +10,10 @@ the section value on the 6 * a3 scale, i.e. (2/9) * (reduced bracket):
     three:  four distinct expressions, one per retained axis triple,
             differing in the sign and phase of the single cross term.
 
-`scan` rasterizes a section into CSV-ready rows, either at fixed angles,
-on an (n, theta) grid (one-axis sections), or maximizing over the
-section's own angles with one `positivity.max_a3_batch` call over every
-in-ball point.
+`scan` rasterizes a section into a columnar `SectionRaster`, either at
+fixed angles, on an (n, theta) grid (one-axis sections), or maximizing
+over the section's own angles with one `positivity.max_a3_batch` call
+over every in-ball point; `write_csv` formats it.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
     "two_section_point_ok",
     "three_section_a3",
     "THREE_SECTION_AXES",
+    "SectionRaster",
     "scan",
     "write_csv",
 ]
@@ -164,66 +165,84 @@ class SectionSpec:
             raise ValueError("theta_policy 'grid' only applies to one-axis sections")
         if self.theta_policy == "fixed" and len(self.theta_values) != len(self.axes):
             raise ValueError("fixed policy needs one theta per axis")
+        if not all(math.isfinite(t) for t in self.theta_values):
+            raise ValueError(f"theta values must be finite, got {self.theta_values!r}")
 
 
-def _section_value(spec: SectionSpec, nvals: Sequence[float], tvals: Sequence[float]) -> float:
-    if spec.kind == "one":
-        return one_section_a3(nvals[0], tvals[0])
-    if spec.kind == "two":
-        return two_section_a3(nvals[0], nvals[1], tvals[0], tvals[1])
-    which = next(w for w, (axes, _s, _p) in THREE_SECTION_AXES.items() if axes == tuple(sorted(spec.axes)))
-    order = np.argsort(spec.axes)
-    ns = [nvals[i] for i in order]
-    ts = [tvals[i] for i in order]
-    return three_section_a3(which, ns, ts)
+@dataclass(frozen=True, eq=False)
+class SectionRaster:
+    """A rasterized section as columns, rows in row-major order over the
+    weight axes (then theta for the "grid" policy).
+
+    coords: one (grid values (R,), int index (N,)) pair per coordinate
+    column, in header order; feasible: (N,) bools; a3_max: (N,) floats,
+    NaN outside the unit ball.  len() is the row count, and iterating or
+    indexing yields row tuples: the coordinates and a3_max as floats, the
+    flag as 0 or 1.
+    """
+
+    coords: tuple[tuple[np.ndarray, np.ndarray], ...]
+    feasible: np.ndarray
+    a3_max: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.feasible)
+
+    def __getitem__(self, i: int) -> tuple:
+        cells = tuple(float(grid[idx[i]]) for grid, idx in self.coords)
+        return cells + (int(self.feasible[i]), float(self.a3_max[i]))
+
+    def __iter__(self):
+        cols = [grid[idx].tolist() for grid, idx in self.coords]
+        return zip(*cols, self.feasible.astype(int).tolist(), self.a3_max.tolist())
 
 
-def scan(spec: SectionSpec) -> tuple[list[str], list[tuple]]:
-    """Rasterize the section; returns (header, rows) with rows in
-    row-major order over the weight axes (then theta for "grid")."""
-    grid = np.linspace(-1.0, 1.0, spec.resolution)
-    names = [f"n{a}" for a in spec.axes]
-    rows: list[tuple] = []
+def scan(spec: SectionSpec) -> tuple[list[str], SectionRaster]:
+    """Rasterize the section; returns (header, raster).
 
+    Every policy is one array pass: "maximize" is one
+    `positivity.max_a3_batch` call over the in-ball points, "fixed" and
+    "grid" one evaluation of the bracket's wave form on zero-padded
+    weights and angles."""
+    res = spec.resolution
+    grids = [np.linspace(-1.0, 1.0, res)] * len(spec.axes)
+    header = [f"n{a}" for a in spec.axes]
     if spec.theta_policy == "grid":
-        header = [names[0], f"theta{spec.axes[0]}", "feasible", "a3_max"]
-        tgrid = np.linspace(0.0, math.pi, spec.resolution)
-        for n in grid:
-            for t in tgrid:
-                val = one_section_a3(float(n), float(t))
-                rows.append((float(n), float(t), int(val >= -_FEASIBLE_TOL), val))
-        return header, rows
+        grids.append(np.linspace(0.0, math.pi, res))
+        header.append(f"theta{spec.axes[0]}")
+    header += ["feasible", "a3_max"]
+    coords = tuple(zip(grids, np.indices((res,) * len(grids)).reshape(len(grids), -1)))
 
-    header = names + ["feasible", "a3_max"]
-    meshes = np.meshgrid(*([grid] * len(spec.axes)), indexing="ij")
-    points = np.stack([m.ravel() for m in meshes], axis=-1)
-    inside = np.sum(points * points, axis=1) <= 1.0 + 1e-12
+    cols = [a - 1 for a in spec.axes]
+    weights = np.zeros((res ** len(grids), 4))
+    for col, (g, i) in zip(cols, coords):
+        weights[:, col] = g[i]
+    inside = np.sum(weights * weights, axis=1) <= 1.0 + 1e-12
+    a3 = np.full(len(weights), math.nan)
     if spec.theta_policy == "maximize":  # over the section's own angles
-        padded = np.zeros((int(inside.sum()), 4))
-        padded[:, [a - 1 for a in spec.axes]] = points[inside]
-        found = positivity.max_a3_batch(padded, grid_steps=spec.grid_steps, refine=spec.refine,
-                                        tol=_FEASIBLE_TOL / 6.0)
-        maxima = iter(6.0 * found.a3)
-    for point, ok in zip(points, inside):
-        if not ok:
-            rows.append(tuple(float(v) for v in point) + (0, math.nan))
-            continue
-        if spec.theta_policy == "fixed":
-            val = _section_value(spec, point, spec.theta_values)
+        found = positivity.max_a3_batch(weights[inside], grid_steps=spec.grid_steps,
+                                        refine=spec.refine, tol=_FEASIBLE_TOL / 6.0)
+        a3[inside] = 6.0 * found.a3
+    else:
+        theta = np.zeros_like(weights)
+        if spec.theta_policy == "grid":
+            g, i = coords[-1]
+            theta[:, cols[0]] = g[i]
         else:
-            val = next(maxima)
-        rows.append(tuple(float(v) for v in point) + (int(val >= -_FEASIBLE_TOL), float(val)))
-    return header, rows
+            theta[:, cols] = spec.theta_values
+        bracket = positivity._wave_value(*positivity._wave_coefs(weights[inside]), theta[inside])
+        a3[inside] = (2.0 / 9.0) * bracket
+    return header, SectionRaster(coords, a3 >= -_FEASIBLE_TOL, a3)
 
 
-def write_csv(header: Iterable[str], rows: Iterable[tuple], stream: IO[str]) -> None:
-    """CSV with 17-significant-digit floats (lossless round trip)."""
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(_format_cell(v) for v in row) + "\n")
-
-
-def _format_cell(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
+def write_csv(header: Iterable[str], raster: SectionRaster, stream: IO[str]) -> None:
+    """CSV with 17-significant-digit floats (lossless round trip), in one
+    write: each coordinate grid is formatted once and its cells picked
+    by index."""
+    cols = []
+    for grid, idx in raster.coords:
+        cells = np.array(["%.17g" % v for v in grid.tolist()], dtype=object)
+        cols.append(cells[idx].tolist())
+    cols.append(np.where(raster.feasible, "1", "0").tolist())
+    cols.append(["%.17g\n" % v for v in raster.a3_max.tolist()])
+    stream.write(",".join(header) + "\n" + "".join(map(",".join, zip(*cols))))

@@ -6,11 +6,12 @@ import math
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from qutrit_bloch import cli
+from qutrit_bloch import cli, positivity
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None, capsys=None):
@@ -118,6 +119,33 @@ def test_scan_rejects_empty_angle_grid(invoke):
     assert "grid_steps" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_scan_rejects_non_finite_theta(invoke, value):
+    code, out, err = invoke(["scan", "--kind=two", "--axes=1,2", "--resolution=3",
+                             "--theta-policy=fixed", f"--theta={value},0"])
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
+def test_scan_refuses_an_oversized_angle_grid_before_searching(invoke, monkeypatch):
+    """--grid-steps 2000 asks for a first grid of 3 * 2000^3 points per
+    three-weight row; two-weight rows take the closed form at any steps."""
+
+    def no_search(*args):
+        raise AssertionError("the oversized grid search ran")
+
+    monkeypatch.setattr(positivity, "_search_block", no_search)
+    start = time.perf_counter()
+    code, out, err = invoke(["scan", "--kind=three", "--axes=1,2,3", "--resolution=4",
+                             "--grid-steps=2000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "grid_steps 2000" in err
+    code, out, _ = invoke(["scan", "--kind=two", "--axes=1,2", "--resolution=5",
+                           "--grid-steps=2000"])
+    assert code == 0 and len(out.splitlines()) == 26
+
+
 def test_threads_flag_is_gone(invoke):
     for argv in (["scan", "--kind", "one", "--axes", "1", "--threads", "2"],
                  ["sample", "--ensemble", "hs", "--threads", "2"]):
@@ -135,7 +163,9 @@ def test_scan_resolution_over_budget_is_refused_before_allocation(invoke, monkey
 
     def fake_scan(spec):
         reached.append(spec.resolution)
-        return ["n1", "n2", "feasible", "a3_max"], []
+        no_rows = (np.linspace(-1.0, 1.0, 2), np.zeros(0, dtype=int))
+        return ["n1", "n2", "feasible", "a3_max"], sections.SectionRaster(
+            (no_rows, no_rows), np.zeros(0, dtype=bool), np.zeros(0))
 
     monkeypatch.setattr(sections, "scan", fake_scan)
     for argv in (["scan", "--kind", "three", "--axes", "1,2,3", "--resolution", "100000000"],

@@ -177,6 +177,30 @@ def test_batched_search_rejects_bad_input():
         positivity.max_a3_batch([(0.3, 0.3, 0.3, 0.0)], grid_steps=0)
 
 
+def test_batched_search_refuses_an_oversized_first_grid(monkeypatch):
+    """The first grid holds 3 g^3 points for three active weights and
+    9 g^4 for four; a batch that needs more than 2^24 is refused before
+    any row is searched.  Two active weights need no grid."""
+    searched = []
+
+    def fake_search(n, grid_steps, refine, tol):
+        searched.append((int(np.sum(n[0] != 0.0)), grid_steps))
+        return np.zeros(len(n)), np.zeros((len(n), 4)), np.ones(len(n), dtype=bool)
+
+    monkeypatch.setattr(positivity, "_search_block", fake_search)
+    three, four, two = (0.3, 0.3, 0.3, 0.0), (0.2, 0.2, 0.2, 0.2), (0.3, 0.3, 0.0, 0.0)
+    for rows, steps in (([three], 178), ([four], 37), ([two, two, four], 37), ([three], 10**9)):
+        with pytest.raises(ValueError, match="first angle grid"):
+            positivity.max_a3_batch(rows, grid_steps=steps)
+    assert searched == []
+    assert max(3 * 177 ** 3, 9 * 36 ** 4) <= positivity._MAX_GRID_POINTS
+    positivity.max_a3_batch([three, four], grid_steps=36)
+    positivity.max_a3_batch([three], grid_steps=177)
+    found = positivity.max_a3_batch([two], grid_steps=10**9)
+    assert searched == [(3, 36), (4, 36), (3, 177)]
+    assert found.a3[0] == positivity.closed_form_max([two])[0][0]
+
+
 def test_point_found_unphysical_by_the_old_search_is_physical():
     """Grid plus coordinate ascent missed the positive maximum of this
     weight point and called it unphysical.  At the angles below its

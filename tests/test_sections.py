@@ -2,6 +2,7 @@
 feasible-angle windows against brute scans, and the CSV rasterizer."""
 
 import io
+import itertools
 import math
 
 import numpy as np
@@ -258,3 +259,158 @@ def test_section_spec_validation():
         sections.SectionSpec(kind="one", axes=(1,), resolution=1)
     with pytest.raises(ValueError):
         sections.SectionSpec(kind="three", axes=(1, 2, 3), grid_steps=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_section_spec_rejects_non_finite_theta(bad):
+    with pytest.raises(ValueError, match="finite"):
+        sections.SectionSpec(kind="two", axes=(1, 2), theta_policy="fixed",
+                             theta_values=(bad, 0.0))
+
+
+# --- columnar rasters against the row-loop reference ---------------------------
+
+_FEASIBLE_TOL = 1e-12
+
+
+def reference_scan(spec):
+    """The row-by-row rasterizer, kept as the oracle: one tuple of Python
+    numbers per row, the scalar section formulas for "fixed" and "grid",
+    and one `max_a3_batch` call over the in-ball points for "maximize"."""
+    grid = np.linspace(-1.0, 1.0, spec.resolution)
+    names = [f"n{a}" for a in spec.axes]
+    rows = []
+    if spec.theta_policy == "grid":
+        header = [names[0], f"theta{spec.axes[0]}", "feasible", "a3_max"]
+        for n in grid:
+            for t in np.linspace(0.0, math.pi, spec.resolution):
+                val = sections.one_section_a3(float(n), float(t))
+                rows.append((float(n), float(t), int(val >= -_FEASIBLE_TOL), val))
+        return header, rows
+    header = names + ["feasible", "a3_max"]
+    meshes = np.meshgrid(*([grid] * len(spec.axes)), indexing="ij")
+    points = np.stack([m.ravel() for m in meshes], axis=-1)
+    inside = np.sum(points * points, axis=1) <= 1.0 + 1e-12
+    if spec.theta_policy == "maximize":
+        padded = np.zeros((int(inside.sum()), 4))
+        padded[:, [a - 1 for a in spec.axes]] = points[inside]
+        found = positivity.max_a3_batch(padded, grid_steps=spec.grid_steps, refine=spec.refine,
+                                        tol=_FEASIBLE_TOL / 6.0)
+        maxima = iter(6.0 * found.a3)
+    for point, ok in zip(points, inside):
+        if not ok:
+            rows.append(tuple(float(v) for v in point) + (0, math.nan))
+            continue
+        if spec.theta_policy == "fixed":
+            val = _reference_section_value(spec, point, spec.theta_values)
+        else:
+            val = next(maxima)
+        rows.append(tuple(float(v) for v in point) + (int(val >= -_FEASIBLE_TOL), float(val)))
+    return header, rows
+
+
+def _reference_section_value(spec, nvals, tvals) -> float:
+    if spec.kind == "one":
+        return sections.one_section_a3(nvals[0], tvals[0])
+    if spec.kind == "two":
+        return sections.two_section_a3(nvals[0], nvals[1], tvals[0], tvals[1])
+    which = next(w for w, (axes, _s, _p) in sections.THREE_SECTION_AXES.items()
+                 if axes == tuple(sorted(spec.axes)))
+    order = np.argsort(spec.axes)
+    return sections.three_section_a3(which, [nvals[i] for i in order],
+                                     [tvals[i] for i in order])
+
+
+def reference_csv(header, rows) -> str:
+    """One `format(v, ".17g")` per float cell, `str` per int cell."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(str(int(v)) if isinstance(v, (int, np.integer))
+                              else format(float(v), ".17g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _csv(spec) -> str:
+    header, raster = sections.scan(spec)
+    buf = io.StringIO()
+    sections.write_csv(header, raster, buf)
+    return buf.getvalue()
+
+
+_MAXIMIZE_SHAPES = (
+    [("two", (1, 2), 41)]
+    + [("three", axes, 6) for axes, _sign, _phase in sections.THREE_SECTION_AXES.values()]
+    + [("three", (4, 1, 2), 6)]
+)
+
+
+@pytest.mark.parametrize("kind,axes,resolution", _MAXIMIZE_SHAPES)
+def test_maximize_csv_bytes_match_row_loop_reference(kind, axes, resolution):
+    spec = sections.SectionSpec(kind=kind, axes=axes, resolution=resolution)
+    assert _csv(spec) == reference_csv(*reference_scan(spec))
+
+
+_ANGLE_SHAPES = (
+    [("one", (3,), 21, "grid", ()),
+     ("one", (2,), 11, "fixed", (2.5,)),
+     ("two", (4, 2), 21, "fixed", (0.7, 5.9))]
+    + [("three", axes, 9, "fixed", (0.4, 2.2, 4.1))
+       for axes, _sign, _phase in sections.THREE_SECTION_AXES.values()]
+    + [("three", (4, 1, 2), 9, "fixed", (0.4, 2.2, 4.1))]
+)
+
+
+@pytest.mark.parametrize("kind,axes,resolution,policy,theta", _ANGLE_SHAPES)
+def test_fixed_and_grid_values_match_scalar_formulas(kind, axes, resolution, policy, theta):
+    spec = sections.SectionSpec(kind=kind, axes=axes, resolution=resolution,
+                                theta_policy=policy, theta_values=theta)
+    header, raster = sections.scan(spec)
+    ref_header, ref_rows = reference_scan(spec)
+    assert header == ref_header and len(raster) == len(ref_rows)
+    for row, ref in zip(raster, ref_rows):
+        assert row[:-1] == ref[:-1]  # coordinates and flag
+        if math.isnan(ref[-1]):
+            assert math.isnan(row[-1])
+        else:
+            assert abs(row[-1] - ref[-1]) < 1e-14
+
+
+@pytest.mark.parametrize("policy,theta", [("maximize", ()), ("fixed", (0.0, 0.0))])
+def test_resolution_two_raster_has_no_in_ball_point(policy, theta, monkeypatch):
+    searched = []
+    search = positivity.max_a3_batch
+
+    def spy(n, **kwargs):
+        searched.append(np.shape(n))
+        return search(n, **kwargs)
+
+    monkeypatch.setattr(positivity, "max_a3_batch", spy)
+    spec = sections.SectionSpec(kind="two", axes=(1, 3), resolution=2, theta_policy=policy,
+                                theta_values=theta)
+    lines = _csv(spec).splitlines()
+    assert lines == ["n1,n3,feasible,a3_max", "-1,-1,0,nan", "-1,1,0,nan", "1,-1,0,nan",
+                     "1,1,0,nan"]
+    assert searched == ([(0, 4)] if policy == "maximize" else [])
+
+
+@pytest.mark.parametrize("kind,axes,policy,theta", [
+    ("three", (2, 4, 1), "fixed", (0.1, 0.2, 0.3)),
+    ("one", (4,), "grid", ()),
+])
+def test_raster_length_row_major_order_and_row_views(kind, axes, policy, theta):
+    spec = sections.SectionSpec(kind=kind, axes=axes, resolution=5, theta_policy=policy,
+                                theta_values=theta)
+    _header, raster = sections.scan(spec)
+    rows = list(raster)
+    grid = np.linspace(-1.0, 1.0, 5).tolist()
+    if policy == "grid":
+        expect = list(itertools.product(grid, np.linspace(0.0, math.pi, 5).tolist()))
+    else:
+        expect = list(itertools.product(grid, repeat=len(axes)))
+    assert len(raster) == len(rows) == len(expect)
+    assert [row[:-2] for row in rows] == expect
+    # rows hold Python numbers, and indexing agrees with iteration
+    assert all(type(v) is float for row in rows for v in row[:-2] + row[-1:])
+    assert all(type(row[-2]) is int for row in rows)
+    assert [repr(raster[i]) for i in range(len(rows))] == [repr(row) for row in rows]
+    assert repr(raster[-1]) == repr(rows[-1])
