@@ -20,8 +20,10 @@ byte-identical output.  Exit codes: 0 success, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -86,6 +88,19 @@ def _floats(text: str, expect: int | None = None, flag: str = "") -> tuple[float
     if expect is not None and len(vals) != expect:
         raise QutritBlochError(f"{flag}: expected {expect} numbers, got {len(vals)}")
     return vals
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite float >= 0.  Under NaN every
+    `> tol` gate is false, and a negative tol fails exact states."""
+    try:
+        value = float(text)
+    except ValueError:
+        # the message argparse gives for type=float
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text!r}")
+    return value
 
 
 # --- subcommand bodies ----------------------------------------------------
@@ -242,12 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_state = sub.add_parser("state", help="convert between matrix and chart forms")
     p_state.add_argument("direction", choices=("to-bloch", "from-bloch"))
-    p_state.add_argument("--tol", type=float, default=1e-10)
+    p_state.add_argument("--tol", type=_tolerance, default=1e-10)
     io_flags(p_state)
     p_state.set_defaults(func=_cmd_state)
 
     p_check = sub.add_parser("check", help="physicality, purity, and rank report")
-    p_check.add_argument("--tol", type=float, default=1e-10)
+    p_check.add_argument("--tol", type=_tolerance, default=1e-10)
     io_flags(p_check)
     p_check.set_defaults(func=_cmd_check)
 
@@ -274,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_unital.add_argument("action", choices=("check", "choi", "vertices"))
     p_unital.add_argument("--lam", default=None, help="four comma-separated moduli")
     p_unital.add_argument("--phi", default=None, help="four comma-separated phases")
-    p_unital.add_argument("--tol", type=float, default=1e-9)
+    p_unital.add_argument("--tol", type=_tolerance, default=1e-9)
     io_flags(p_unital)
     p_unital.set_defaults(func=_cmd_unital)
 
@@ -303,10 +318,19 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first `run` and not at import.
+
+    Reuse keeps every byte: argparse keeps no state between parses and
+    looks up sys.stdout/sys.stderr only when it prints.
+    """
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors itself
         return int(exc.code or 0)
     try:

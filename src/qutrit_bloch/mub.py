@@ -29,28 +29,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochParams, from_density
+from .bloch import BlochParams, from_density, from_density_batch
 
 __all__ = ["KetRecord", "MubFamily", "ket_from_angles", "onb_from_ket", "four_mubs",
            "family_document"]
+
+_THIRD = 2.0 * math.pi / 3.0
+
+
+def _amplitudes(delta: float, gamma: float) -> np.ndarray:
+    return np.array([1.0, cmath.exp(1j * delta), cmath.exp(1j * gamma)]) / math.sqrt(3.0)
+
+
+def _onb_angles(delta: float, gamma: float) -> tuple[tuple[float, float], ...]:
+    return ((delta, gamma), (delta + _THIRD, gamma - _THIRD), (delta - _THIRD, gamma + _THIRD))
 
 
 def ket_from_angles(delta: float, gamma: float) -> tuple[np.ndarray, BlochParams]:
     """Amplitudes (1, e^{i delta}, e^{i gamma})/sqrt(3) and their chart
     parameters, extracted from the density matrix."""
-    amps = np.array([1.0, cmath.exp(1j * delta), cmath.exp(1j * gamma)]) / math.sqrt(3.0)
+    amps = _amplitudes(delta, gamma)
     return amps, from_density(np.outer(amps, amps.conj()))
 
 
 def onb_from_ket(delta: float, gamma: float) -> list[tuple[np.ndarray, BlochParams]]:
     """The orthonormal basis through (delta, gamma): partners at
     (delta + 2pi/3, gamma - 2pi/3) and (delta - 2pi/3, gamma + 2pi/3)."""
-    third = 2.0 * math.pi / 3.0
-    return [
-        ket_from_angles(delta, gamma),
-        ket_from_angles(delta + third, gamma - third),
-        ket_from_angles(delta - third, gamma + third),
-    ]
+    return [ket_from_angles(d, g) for d, g in _onb_angles(delta, gamma)]
 
 
 @dataclass(frozen=True)
@@ -75,26 +80,24 @@ class MubFamily:
 
 def four_mubs(delta: float, gamma: float) -> MubFamily:
     """Complete MUB family seeded at (delta, gamma); each basis's weight
-    point is read off its first ket."""
-    third = 2.0 * math.pi / 3.0
-    comp = []
-    for k in range(3):
-        amps = np.zeros(3, dtype=complex)
-        amps[k] = 1.0
-        comp.append((amps, from_density(np.outer(amps, amps.conj()))))
-    raw_bases = [comp] + [onb_from_ket(delta + s * third, gamma) for s in (0, 1, 2)]
+    point is read off its first ket.
 
-    bases = tuple(
-        tuple(KetRecord(tuple(complex(v) for v in amps), p) for amps, p in basis)
-        for basis in raw_bases
-    )
+    The twelve kets are charted as one (12, 3, 3) stack of projectors;
+    each row of `from_density_batch` is bit-identical to `from_density`.
+    """
+    kets = np.vstack([np.eye(3, dtype=complex)] + [
+        _amplitudes(d, g) for s in (0, 1, 2) for d, g in _onb_angles(delta + s * _THIRD, gamma)
+    ])
+    # tol is from_density's default; outer products of unit kets pass its gates
+    n, theta = from_density_batch(kets[:, :, np.newaxis] * kets[:, np.newaxis, :].conj(), 1e-10)
+    records = [KetRecord(tuple(complex(v) for v in amps), BlochParams(nk, tk))
+               for amps, nk, tk in zip(kets, n.tolist(), theta.tolist())]
+    bases = tuple(tuple(records[b:b + 3]) for b in range(0, 12, 3))
     return MubFamily(
         delta=float(delta),
         gamma=float(gamma),
         bases=bases,
-        weight_points=tuple(
-            tuple(float(abs(v)) for v in basis[0][1].n) for basis in raw_bases
-        ),
+        weight_points=tuple(tuple(abs(v) for v in basis[0].bloch.n) for basis in bases),
     )
 
 

@@ -165,6 +165,9 @@ class SectionSpec:
             raise ValueError("theta_policy 'grid' only applies to one-axis sections")
         if self.theta_policy == "fixed" and len(self.theta_values) != len(self.axes):
             raise ValueError("fixed policy needs one theta per axis")
+        if self.theta_values and self.theta_policy != "fixed":
+            raise ValueError(
+                f"theta values only apply to the fixed policy, not {self.theta_policy!r}")
         if not all(math.isfinite(t) for t in self.theta_values):
             raise ValueError(f"theta values must be finite, got {self.theta_values!r}")
 

@@ -1,6 +1,7 @@
 """Command-line front end: subcommand outputs, exit codes, determinism,
 and self-consistency of emitted documents."""
 
+import io
 import json
 import math
 import shutil
@@ -17,8 +18,6 @@ from qutrit_bloch import cli, positivity
 def run_cli(argv, stdin_text=None, monkeypatch=None, capsys=None):
     """Invoke the entry point in-process; returns (exit_code, stdout, stderr)."""
     if stdin_text is not None:
-        import io
-
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
     code = cli.run(argv)
     out, err = capsys.readouterr()
@@ -181,6 +180,18 @@ def test_scan_resolution_over_budget_is_refused_before_allocation(invoke, monkey
                                "--resolution", str(resolution)])
         assert code == expect, err
     assert reached == [edge]
+
+
+def test_theta_outside_fixed_policy_is_refused(invoke):
+    for policy in ("maximize", "grid"):
+        kind, axes = ("two", "1,2") if policy == "maximize" else ("one", "1")
+        code, out, err = invoke(["scan", f"--kind={kind}", f"--axes={axes}", "--resolution=3",
+                                 f"--theta-policy={policy}", "--theta=0.3,0.4"])
+        assert code == 2 and out == ""
+        assert "fixed" in err
+    code, out, err = invoke(["scan", "--kind=two", "--axes=1,2", "--resolution=3",
+                             "--theta=0.3,0.4"])
+    assert code == 2 and out == "" and "'maximize'" in err
 
 
 # --- mub ------------------------------------------------------------------------
@@ -442,6 +453,98 @@ def test_usage_error_exits_2(capsys):
     code = cli.run(["not-a-command"])
     assert code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+_HALF_STATE = json.dumps({"bloch": {"n": [0.1, 0.1, 0.1, 0.1], "theta": [0.0, 0.0, 0.0, 0.0]}})
+_PURE_MATRIX = json.dumps({"matrix": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]],
+                                      [[0, 0], [0, 0], [0, 0]]]})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
+@pytest.mark.parametrize("argv, stdin_text", [
+    (["state", "to-bloch"], _PURE_MATRIX),
+    (["check"], _HALF_STATE),
+    (["unital", "check", "--lam=1,1,1,1"], None),
+])
+def test_tol_must_be_finite_and_non_negative(invoke, argv, stdin_text, value):
+    code, out, err = invoke([*argv, f"--tol={value}"], stdin_text)
+    assert code == 2 and out == ""
+    assert "argument --tol: must be finite and at least 0" in err
+
+
+def test_tol_accepts_zero_and_keeps_the_float_message(invoke):
+    """--tol=0 is a valid gate, and a non-number reads as it did under type=float."""
+    code, out, _ = invoke(["check", "--tol=0"], _HALF_STATE)
+    assert code == 0 and json.loads(out)["physical"] is True
+    code, out, err = invoke(["check", "--tol=abc"], _HALF_STATE)
+    assert code == 2 and out == ""
+    assert err.endswith("error: argument --tol: invalid float value: 'abc'\n")
+
+
+# --- one parser per process -------------------------------------------------------
+
+_PHYSICAL = json.dumps({"bloch": {"n": [0.3, 0.2, 0.1, 0.25], "theta": [0.4, 1.1, 2.2, 0.9]}})
+_MIXED = [
+    (["state", "from-bloch"], _PHYSICAL),
+    (["state", "to-bloch", "--tol=1e-9"], _PURE_MATRIX),
+    (["check"], _PHYSICAL),
+    (["scan", "--kind=two", "--axes=1,3", "--resolution=4", "--theta-policy=fixed",
+      "--theta=0.2,1.0"], ""),
+    (["mub", "--delta=0.3", "--gamma=-1.1"], ""),
+    (["unital", "check", "--lam=0.5,0.4,0.3,0.2"], ""),
+    (["sample", "--ensemble=bures", "--count=3", "--seed=7"], ""),
+    (["density", "--which=qubit-hs", "--at=0.5"], ""),
+    (["mub", "--delta=x", "--gamma=0"], ""),  # usage error
+    (["scan", "--help"], ""),
+    (["unital", "check"], ""),  # validation error
+    (["check", "--tol=nan"], _PHYSICAL),
+    (["state", "from-bloch"], _PHYSICAL),
+]
+
+
+def _call(argv, stdin_text):
+    """cli.run with fresh streams swapped in for this call only."""
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin_text), io.StringIO(), io.StringIO()
+    try:
+        code = cli.run(argv)
+        return code, sys.stdout.getvalue(), sys.stderr.getvalue()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+
+
+def test_one_parser_serves_a_mixed_sequence_byte_for_byte(monkeypatch):
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        shared = [_call(argv, stdin_text) for argv, stdin_text in _MIXED]
+        assert len(builds) <= 1
+        fresh = []
+        for argv, stdin_text in _MIXED:
+            cli._parser.cache_clear()
+            fresh.append(_call(argv, stdin_text))
+    finally:
+        cli._parser.cache_clear()
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0] * 8 + [2, 0, 2, 2, 0]
+    _, help_out, help_err = shared[9]
+    assert help_out.startswith("usage: qutrit-bloch scan") and help_err == ""
+    assert "invalid float value: 'x'" in shared[8][2] and shared[8][1] == ""
+    assert shared[10][2] == "error: unital check/choi needs --lam\n"
+    assert shared[-1] == shared[0]
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    first, second = cli.build_parser(), cli.build_parser()
+    assert first is not second
+    assert first.parse_args(["mub", "--delta=1", "--gamma=2"]).delta == 1.0
 
 
 @pytest.mark.skipif(

@@ -6,6 +6,7 @@ matrix; `closed_form_params` below is the module docstring's closed form,
 kept here as the independent oracle for that extraction."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -203,3 +204,52 @@ def test_dense_angle_sweep_never_raises():
     for d in grid:
         for g in grid:
             assert_family_invariants(mub.four_mubs(float(d), float(g)), float(d), float(g))
+
+
+def per_ket_family(delta: float, gamma: float) -> mub.MubFamily:
+    """The per-ket route, frozen as the oracle for the batched chart in
+    `four_mubs`: every ket charted by its own `from_density` call."""
+    third = 2.0 * math.pi / 3.0
+
+    def ket(d, g):
+        amps = np.array([1.0, cmath.exp(1j * d), cmath.exp(1j * g)]) / math.sqrt(3.0)
+        return amps, from_density(np.outer(amps, amps.conj()))
+
+    comp = []
+    for k in range(3):
+        amps = np.zeros(3, dtype=complex)
+        amps[k] = 1.0
+        comp.append((amps, from_density(np.outer(amps, amps.conj()))))
+    raw = [comp] + [[ket(d, gamma), ket(d + third, gamma - third), ket(d - third, gamma + third)]
+                    for d in (delta + s * third for s in (0, 1, 2))]
+    return mub.MubFamily(
+        delta=float(delta),
+        gamma=float(gamma),
+        bases=tuple(tuple(mub.KetRecord(tuple(complex(v) for v in amps), p) for amps, p in basis)
+                    for basis in raw),
+        weight_points=tuple(tuple(float(abs(v)) for v in basis[0][1].n) for basis in raw),
+    )
+
+
+def family_bits(fam: mub.MubFamily) -> list:
+    """Every float of a family as its exact hex form (tells -0.0 from 0.0)."""
+    floats = [fam.delta, fam.gamma]
+    for basis in fam.bases:
+        for ket in basis:
+            floats += [part for v in ket.amplitudes for part in (v.real, v.imag)]
+            floats += list(ket.bloch.n) + list(ket.bloch.theta)
+    floats += [v for point in fam.weight_points for v in point]
+    return [float.hex(v) for v in floats]
+
+
+def test_batched_family_is_bit_identical_to_the_per_ket_route():
+    special = (0.0, math.pi, -math.pi, math.pi / 3.0, -math.pi / 3.0)
+    rng = np.random.default_rng(20211)
+    pairs = [(d, g) for d in special for g in special]
+    pairs += [tuple(float(v) for v in rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 2))
+              for _ in range(300)]
+    for delta, gamma in pairs:
+        fam, ref = mub.four_mubs(delta, gamma), per_ket_family(delta, gamma)
+        assert family_bits(fam) == family_bits(ref), (delta, gamma)
+        assert (json.dumps(mub.family_document(fam), indent=2)
+                == json.dumps(mub.family_document(ref), indent=2)), (delta, gamma)

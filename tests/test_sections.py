@@ -259,6 +259,9 @@ def test_section_spec_validation():
         sections.SectionSpec(kind="one", axes=(1,), resolution=1)
     with pytest.raises(ValueError):
         sections.SectionSpec(kind="three", axes=(1, 2, 3), grid_steps=0)
+    for policy in ("maximize", "grid"):
+        with pytest.raises(ValueError, match="only apply to the fixed policy"):
+            sections.SectionSpec(kind="one", axes=(1,), theta_policy=policy, theta_values=(0.3,))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
