@@ -20,7 +20,6 @@ byte-identical output.  Exit codes: 0 success, 2 invalid input,
 from __future__ import annotations
 
 import argparse
-import functools
 import io
 import json
 import math
@@ -244,93 +243,111 @@ def _cmd_density(args) -> int:
 # --- parser ---------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _io_flags(p) -> None:
+    p.add_argument("--in", dest="input", default=None, help="input JSON path (default stdin)")
+    p.add_argument("--out", dest="output", default=None, help="output path (default stdout)")
+
+
+def _state_args(p) -> None:
+    p.add_argument("direction", choices=("to-bloch", "from-bloch"))
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
+    _io_flags(p)
+    p.set_defaults(func=_cmd_state)
+
+
+def _check_args(p) -> None:
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
+    _io_flags(p)
+    p.set_defaults(func=_cmd_check)
+
+
+def _scan_args(p) -> None:
+    p.add_argument("--kind", choices=("one", "two", "three"), required=True)
+    p.add_argument("--axes", required=True, help="comma-separated axes from 1..4")
+    p.add_argument("--resolution", type=int, default=101)
+    p.add_argument("--theta-policy", choices=("grid", "fixed", "maximize"), default="maximize")
+    p.add_argument("--theta", default=None, help="angles for --theta-policy fixed")
+    p.add_argument("--grid-steps", type=int, default=8,
+                   help="coarse angle grid per 2 pi/3 for --theta-policy maximize")
+    p.add_argument("--no-refine", action="store_true")
+    _io_flags(p)
+    p.set_defaults(func=_cmd_scan)
+
+
+def _mub_args(p) -> None:
+    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--gamma", type=float, required=True)
+    _io_flags(p)
+    p.set_defaults(func=_cmd_mub)
+
+
+def _unital_args(p) -> None:
+    p.add_argument("action", choices=("check", "choi", "vertices"))
+    p.add_argument("--lam", default=None, help="four comma-separated moduli")
+    p.add_argument("--phi", default=None, help="four comma-separated phases")
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    _io_flags(p)
+    p.set_defaults(func=_cmd_unital)
+
+
+def _sample_args(p) -> None:
+    p.add_argument("--ensemble", choices=ensembles.MEASURES, required=True)
+    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    _io_flags(p)
+    p.set_defaults(func=_cmd_sample)
+
+
+def _density_args(p) -> None:
+    p.add_argument(
+        "--which",
+        choices=("hs", "bures", "hs-gm", "bures-gm", "qubit-hs", "qubit-bures"),
+        required=True,
+    )
+    p.add_argument("--at", required=True, help="r,zeta1..3,theta1..4 | g1..g8 | r, per --which")
+    p.add_argument("--signed", action="store_true",
+                   help="signed diagnostic outside the Bures domain")
+    _io_flags(p)
+    p.set_defaults(func=_cmd_density)
+
+
+_SUBCOMMANDS = (
+    ("state", "convert between matrix and chart forms", _state_args),
+    ("check", "physicality, purity, and rank report", _check_args),
+    ("scan", "rasterize a section to CSV", _scan_args),
+    ("mub", "build the four MUBs at (delta, gamma)", _mub_args),
+    ("unital", "unital channel tests", _unital_args),
+    ("sample", "draw random states to CSV", _sample_args),
+    ("density", "evaluate a closed-form density", _density_args),
+)
+
+
+def build_parser(commands=None) -> argparse.ArgumentParser:
+    """The CLI's argument parser.
+
+    Every subcommand is listed (in usage, --help and the invalid-choice
+    error), but only those named in `commands` get their arguments and
+    -h; None means all.  argparse dispatches only on an argv token equal
+    to a subcommand's name, so `build_parser(argv)` parses `argv` exactly
+    as the full parser does, and skips most of its build cost.
+    """
     top = argparse.ArgumentParser(
         prog="qutrit-bloch",
         description="Four-dimensional Bloch-sphere toolkit for qutrits",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def io_flags(p):
-        p.add_argument("--in", dest="input", default=None, help="input JSON path (default stdin)")
-        p.add_argument("--out", dest="output", default=None, help="output path (default stdout)")
-
-    p_state = sub.add_parser("state", help="convert between matrix and chart forms")
-    p_state.add_argument("direction", choices=("to-bloch", "from-bloch"))
-    p_state.add_argument("--tol", type=_tolerance, default=1e-10)
-    io_flags(p_state)
-    p_state.set_defaults(func=_cmd_state)
-
-    p_check = sub.add_parser("check", help="physicality, purity, and rank report")
-    p_check.add_argument("--tol", type=_tolerance, default=1e-10)
-    io_flags(p_check)
-    p_check.set_defaults(func=_cmd_check)
-
-    p_scan = sub.add_parser("scan", help="rasterize a section to CSV")
-    p_scan.add_argument("--kind", choices=("one", "two", "three"), required=True)
-    p_scan.add_argument("--axes", required=True, help="comma-separated axes from 1..4")
-    p_scan.add_argument("--resolution", type=int, default=101)
-    p_scan.add_argument("--theta-policy", choices=("grid", "fixed", "maximize"),
-                        default="maximize")
-    p_scan.add_argument("--theta", default=None, help="angles for --theta-policy fixed")
-    p_scan.add_argument("--grid-steps", type=int, default=8,
-                        help="coarse angle grid per 2 pi/3 for --theta-policy maximize")
-    p_scan.add_argument("--no-refine", action="store_true")
-    io_flags(p_scan)
-    p_scan.set_defaults(func=_cmd_scan)
-
-    p_mub = sub.add_parser("mub", help="build the four MUBs at (delta, gamma)")
-    p_mub.add_argument("--delta", type=float, required=True)
-    p_mub.add_argument("--gamma", type=float, required=True)
-    io_flags(p_mub)
-    p_mub.set_defaults(func=_cmd_mub)
-
-    p_unital = sub.add_parser("unital", help="unital channel tests")
-    p_unital.add_argument("action", choices=("check", "choi", "vertices"))
-    p_unital.add_argument("--lam", default=None, help="four comma-separated moduli")
-    p_unital.add_argument("--phi", default=None, help="four comma-separated phases")
-    p_unital.add_argument("--tol", type=_tolerance, default=1e-9)
-    io_flags(p_unital)
-    p_unital.set_defaults(func=_cmd_unital)
-
-    p_sample = sub.add_parser("sample", help="draw random states to CSV")
-    p_sample.add_argument("--ensemble", choices=ensembles.MEASURES, required=True)
-    p_sample.add_argument("--count", type=int, default=1)
-    p_sample.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    io_flags(p_sample)
-    p_sample.set_defaults(func=_cmd_sample)
-
-    p_density = sub.add_parser("density", help="evaluate a closed-form density")
-    p_density.add_argument(
-        "--which",
-        choices=("hs", "bures", "hs-gm", "bures-gm", "qubit-hs", "qubit-bures"),
-        required=True,
-    )
-    p_density.add_argument(
-        "--at",
-        required=True,
-        help="r,zeta1..3,theta1..4 | g1..g8 | r, per --which",
-    )
-    p_density.add_argument("--signed", action="store_true",
-                           help="signed diagnostic outside the Bures domain")
-    io_flags(p_density)
-    p_density.set_defaults(func=_cmd_density)
+    for name, help_text, add_arguments in _SUBCOMMANDS:
+        if commands is None or name in commands:
+            add_arguments(sub.add_parser(name, help=help_text))
+        else:
+            sub.add_parser(name, help=help_text, add_help=False)
     return top
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on the first `run` and not at import.
-
-    Reuse keeps every byte: argparse keeps no state between parses and
-    looks up sys.stdout/sys.stderr only when it prints.
-    """
-    return build_parser()
-
-
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors itself
         return int(exc.code or 0)
     try:

@@ -11,7 +11,7 @@ chart parameters come in closed form through three complex sums
 with w = e^{2 pi i/3}: z_k = 3 n_k e^{i theta_k}, equivalently
 n1 = sqrt(3 + 2cos(gamma-2delta) + 2cos(2gamma-delta) + 2cos(gamma+delta))/3
 and its two 2pi/3-shifted siblings (the radical is |z|/3).  The library
-extracts the parameters from the density matrix with `from_density`;
+extracts the parameters from the density matrix with `from_density_batch`;
 the closed form is the tests' independent oracle for that extraction.
 
 Orthogonal partners sit at (delta +- 2pi/3, gamma -+ 2pi/3): same
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochParams, from_density, from_density_batch
+from .bloch import BlochParams, from_density_batch
 
 __all__ = ["KetRecord", "MubFamily", "ket_from_angles", "onb_from_ket", "four_mubs",
            "family_document"]
@@ -37,25 +37,34 @@ __all__ = ["KetRecord", "MubFamily", "ket_from_angles", "onb_from_ket", "four_mu
 _THIRD = 2.0 * math.pi / 3.0
 
 
-def _amplitudes(delta: float, gamma: float) -> np.ndarray:
-    return np.array([1.0, cmath.exp(1j * delta), cmath.exp(1j * gamma)]) / math.sqrt(3.0)
+def _kets(angles) -> np.ndarray:
+    """Rows (1, e^{i delta}, e^{i gamma})/sqrt(3), one per (delta, gamma)."""
+    rows = [[1.0, cmath.exp(1j * d), cmath.exp(1j * g)] for d, g in angles]
+    return np.array(rows) / math.sqrt(3.0)
 
 
-def _onb_angles(delta: float, gamma: float) -> tuple[tuple[float, float], ...]:
-    return ((delta, gamma), (delta + _THIRD, gamma - _THIRD), (delta - _THIRD, gamma + _THIRD))
+def _onb_angles(delta: float, gamma: float) -> list[tuple[float, float]]:
+    return [(delta, gamma), (delta + _THIRD, gamma - _THIRD), (delta - _THIRD, gamma + _THIRD)]
+
+
+def _chart(kets: np.ndarray) -> list[tuple[np.ndarray, BlochParams]]:
+    """Each row ket with the chart parameters of its projector, all read
+    off one `from_density_batch` call on the (N, 3, 3) stack."""
+    # tol is from_density's default; outer products of unit kets pass its gates
+    n, theta = from_density_batch(kets[:, :, np.newaxis] * kets[:, np.newaxis, :].conj(), 1e-10)
+    return [(amps, BlochParams(nk, tk)) for amps, nk, tk in zip(kets, n.tolist(), theta.tolist())]
 
 
 def ket_from_angles(delta: float, gamma: float) -> tuple[np.ndarray, BlochParams]:
     """Amplitudes (1, e^{i delta}, e^{i gamma})/sqrt(3) and their chart
     parameters, extracted from the density matrix."""
-    amps = _amplitudes(delta, gamma)
-    return amps, from_density(np.outer(amps, amps.conj()))
+    return _chart(_kets([(delta, gamma)]))[0]
 
 
 def onb_from_ket(delta: float, gamma: float) -> list[tuple[np.ndarray, BlochParams]]:
     """The orthonormal basis through (delta, gamma): partners at
     (delta + 2pi/3, gamma - 2pi/3) and (delta - 2pi/3, gamma + 2pi/3)."""
-    return [ket_from_angles(d, g) for d, g in _onb_angles(delta, gamma)]
+    return _chart(_kets(_onb_angles(delta, gamma)))
 
 
 @dataclass(frozen=True)
@@ -82,17 +91,15 @@ def four_mubs(delta: float, gamma: float) -> MubFamily:
     """Complete MUB family seeded at (delta, gamma); each basis's weight
     point is read off its first ket.
 
-    The twelve kets are charted as one (12, 3, 3) stack of projectors;
-    each row of `from_density_batch` is bit-identical to `from_density`.
+    The twelve kets are charted in one `_chart` call.
     """
-    kets = np.vstack([np.eye(3, dtype=complex)] + [
-        _amplitudes(d, g) for s in (0, 1, 2) for d, g in _onb_angles(delta + s * _THIRD, gamma)
-    ])
-    # tol is from_density's default; outer products of unit kets pass its gates
-    n, theta = from_density_batch(kets[:, :, np.newaxis] * kets[:, np.newaxis, :].conj(), 1e-10)
-    records = [KetRecord(tuple(complex(v) for v in amps), BlochParams(nk, tk))
-               for amps, nk, tk in zip(kets, n.tolist(), theta.tolist())]
-    bases = tuple(tuple(records[b:b + 3]) for b in range(0, 12, 3))
+    kets = np.vstack([np.eye(3, dtype=complex), _kets(
+        [a for s in (0, 1, 2) for a in _onb_angles(delta + s * _THIRD, gamma)])])
+    charted = _chart(kets)
+    bases = tuple(
+        tuple(KetRecord(tuple(complex(v) for v in amps), p) for amps, p in charted[b:b + 3])
+        for b in range(0, 12, 3)
+    )
     return MubFamily(
         delta=float(delta),
         gamma=float(gamma),

@@ -481,7 +481,7 @@ def test_tol_accepts_zero_and_keeps_the_float_message(invoke):
     assert err.endswith("error: argument --tol: invalid float value: 'abc'\n")
 
 
-# --- one parser per process -------------------------------------------------------
+# --- per-invocation parser ---------------------------------------------------------
 
 _PHYSICAL = json.dumps({"bloch": {"n": [0.3, 0.2, 0.1, 0.25], "theta": [0.4, 1.1, 2.2, 0.9]}})
 _MIXED = [
@@ -498,7 +498,16 @@ _MIXED = [
     (["scan", "--help"], ""),
     (["unital", "check"], ""),  # validation error
     (["check", "--tol=nan"], _PHYSICAL),
-    (["state", "from-bloch"], _PHYSICAL),
+    # argv shapes where a subcommand name sits elsewhere, or nowhere
+    (["--help"], ""),
+    ([], ""),
+    (["-h", "mub"], ""),
+    (["mu"], ""),
+    (["--", "mub", "--delta=1", "--gamma=2"], ""),
+    (["-x", "mub", "--delta=1", "--gamma=2"], ""),
+    (["scan", "mub"], ""),
+    (["mub", "--delta=1", "--gamma=2", "check"], ""),
+    (["state", "to-bloch", "--in", "mub"], ""),
 ]
 
 
@@ -513,38 +522,38 @@ def _call(argv, stdin_text):
         sys.stdin, sys.stdout, sys.stderr = saved
 
 
-def test_one_parser_serves_a_mixed_sequence_byte_for_byte(monkeypatch):
-    builds = []
+def test_parser_built_for_argv_matches_the_full_parser_byte_for_byte(monkeypatch):
+    partial = [_call(argv, stdin_text) for argv, stdin_text in _MIXED]
     build = cli.build_parser
-
-    def counted():
-        builds.append(1)
-        return build()
-
-    monkeypatch.setattr(cli, "build_parser", counted)
-    cli._parser.cache_clear()
-    try:
-        shared = [_call(argv, stdin_text) for argv, stdin_text in _MIXED]
-        assert len(builds) <= 1
-        fresh = []
-        for argv, stdin_text in _MIXED:
-            cli._parser.cache_clear()
-            fresh.append(_call(argv, stdin_text))
-    finally:
-        cli._parser.cache_clear()
-    assert shared == fresh
-    assert [code for code, _, _ in shared] == [0] * 8 + [2, 0, 2, 2, 0]
-    _, help_out, help_err = shared[9]
+    monkeypatch.setattr(cli, "build_parser", lambda commands=None: build())
+    full = [_call(argv, stdin_text) for argv, stdin_text in _MIXED]
+    assert partial == full
+    assert [code for code, _, _ in partial[:12]] == [0] * 8 + [2, 0, 2, 2]
+    _, help_out, help_err = partial[9]
     assert help_out.startswith("usage: qutrit-bloch scan") and help_err == ""
-    assert "invalid float value: 'x'" in shared[8][2] and shared[8][1] == ""
-    assert shared[10][2] == "error: unital check/choi needs --lam\n"
-    assert shared[-1] == shared[0]
+    assert "invalid float value: 'x'" in partial[8][2] and partial[8][1] == ""
+    assert partial[10][2] == "error: unital check/choi needs --lam\n"
+    assert "{state,check,scan,mub,unital,sample,density}" in partial[12][1]
 
 
-def test_build_parser_returns_a_new_parser_each_call():
-    first, second = cli.build_parser(), cli.build_parser()
-    assert first is not second
-    assert first.parse_args(["mub", "--delta=1", "--gamma=2"]).delta == 1.0
+def test_run_fills_in_only_the_subcommands_its_argv_names(monkeypatch):
+    filled = []
+
+    def recorded(name, add_arguments):
+        def add(p):
+            filled.append(name)
+            add_arguments(p)
+        return add
+
+    monkeypatch.setattr(cli, "_SUBCOMMANDS", tuple(
+        (name, help_text, recorded(name, add)) for name, help_text, add in cli._SUBCOMMANDS))
+    for argv, stdin_text in _MIXED:
+        filled.clear()
+        _call(argv, stdin_text)
+        assert filled == [name for name, _, _ in cli._SUBCOMMANDS if name in argv], argv
+    filled.clear()
+    cli.build_parser()
+    assert filled == [name for name, _, _ in cli._SUBCOMMANDS]
 
 
 @pytest.mark.skipif(

@@ -242,6 +242,11 @@ def family_bits(fam: mub.MubFamily) -> list:
     return [float.hex(v) for v in floats]
 
 
+def ket_bits(pairs) -> list:
+    """The exact hex form of every float of (amplitudes, BlochParams) pairs."""
+    return [[float.hex(x) for x in (*amps.real, *amps.imag, *p.n, *p.theta)] for amps, p in pairs]
+
+
 def test_batched_family_is_bit_identical_to_the_per_ket_route():
     special = (0.0, math.pi, -math.pi, math.pi / 3.0, -math.pi / 3.0)
     rng = np.random.default_rng(20211)
@@ -253,3 +258,8 @@ def test_batched_family_is_bit_identical_to_the_per_ket_route():
         assert family_bits(fam) == family_bits(ref), (delta, gamma)
         assert (json.dumps(mub.family_document(fam), indent=2)
                 == json.dumps(mub.family_document(ref), indent=2)), (delta, gamma)
+        # the public per-basis and per-ket helpers chart through the same stack
+        onb = mub.onb_from_ket(delta, gamma)
+        assert ket_bits(onb) == ket_bits(
+            [(np.array(k.amplitudes), k.bloch) for k in ref.bases[1]]), (delta, gamma)
+        assert ket_bits([mub.ket_from_angles(delta, gamma)]) == ket_bits(onb[:1])
