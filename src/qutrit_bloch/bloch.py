@@ -40,6 +40,7 @@ from .errors import NotAState
 from .weyl import weyl_op
 
 __all__ = [
+    "GATE_TOL",
     "BlochParams",
     "PolarParams",
     "canonical_pair",
@@ -59,9 +60,23 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 _THIRD_PI = np.pi / 3.0
 _ZERO_WEIGHT = 1e-13
+GATE_TOL = 1e-10  # default Hermiticity/unit-trace gate of the matrix -> chart routes
+
+# the conjugate pairing, the one table of it: b_key = n[slot] e^{i sign
+# (theta[slot] - phase)}; sign +1 marks the primary coefficient of a slot
+_PAIRING = (
+    ((0, 1), 0, +1.0, 0.0),
+    ((0, 2), 0, -1.0, 0.0),
+    ((1, 0), 1, +1.0, 0.0),
+    ((2, 0), 1, -1.0, 0.0),
+    ((1, 2), 2, +1.0, 0.0),
+    ((2, 1), 2, -1.0, 2.0 * _THIRD_PI),
+    ((2, 2), 3, +1.0, 0.0),
+    ((1, 1), 3, -1.0, _THIRD_PI),
+)
 
 # keys of the four independent coefficients, in weight order n1..n4
-_PRIMARY_KEYS = ((0, 1), (1, 0), (1, 2), (2, 2))
+_PRIMARY_KEYS = tuple(key for key, _slot, sign, _phase in _PAIRING if sign > 0)
 
 
 def canonical_pair(n: float, theta: float, zero_tol: float = _ZERO_WEIGHT) -> tuple[float, float]:
@@ -179,21 +194,11 @@ def to_polar(p: BlochParams) -> PolarParams:
 
 
 def bloch_coefficients(p: BlochParams) -> dict[tuple[int, int], complex]:
-    """All nine b_pq coefficients (identity included)."""
-    n1, n2, n3, n4 = p.n
-    t1, t2, t3, t4 = p.theta
-    e = np.exp
-    return {
-        (0, 0): 1.0 + 0j,
-        (0, 1): n1 * e(1j * t1),
-        (0, 2): n1 * e(-1j * t1),
-        (1, 0): n2 * e(1j * t2),
-        (2, 0): n2 * e(-1j * t2),
-        (1, 2): n3 * e(1j * t3),
-        (2, 1): n3 * e(-1j * (t3 - 2.0 * _THIRD_PI)),
-        (2, 2): n4 * e(1j * t4),
-        (1, 1): n4 * e(-1j * (t4 - _THIRD_PI)),
-    }
+    """All nine b_pq coefficients (identity included), per `_PAIRING`."""
+    coeffs = {(0, 0): 1.0 + 0j}
+    for key, slot, sign, phase in _PAIRING:
+        coeffs[key] = p.n[slot] * np.exp(1j * sign * (p.theta[slot] - phase))
+    return coeffs
 
 
 def to_density(p: BlochParams) -> np.ndarray:
@@ -266,7 +271,7 @@ def from_density_batch(rhos, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return n, theta
 
 
-def from_density(rho, tol: float = 1e-10) -> BlochParams:
+def from_density(rho, tol: float = GATE_TOL) -> BlochParams:
     """Canonical parameters of a unit-trace Hermitian matrix.
 
     Raises NotAState if the input fails the Hermiticity/trace gate; one
@@ -306,7 +311,7 @@ def state_document(p: BlochParams) -> dict:
     }
 
 
-def parse_state_document(doc: dict, tol: float = 1e-10) -> BlochParams:
+def parse_state_document(doc: dict, tol: float = GATE_TOL) -> BlochParams:
     """Read a state from a document holding `matrix` and/or `bloch`.
 
     The chart block wins when both are present (it is exact under
@@ -341,7 +346,7 @@ def dump_state_json(p: BlochParams) -> str:
     return json.dumps(state_document(p), indent=2)
 
 
-def load_state_json(text: str, tol: float = 1e-10) -> BlochParams:
+def load_state_json(text: str, tol: float = GATE_TOL) -> BlochParams:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

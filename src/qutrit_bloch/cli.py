@@ -29,6 +29,7 @@ import numpy as np
 
 from . import ensembles, gellmann, mub, positivity, sections, unital
 from .bloch import (
+    GATE_TOL,
     BlochParams,
     parse_state_document,
     purity,
@@ -174,6 +175,8 @@ def _cmd_unital(args) -> int:
             args.output,
         )
         return 0
+    if not args.lam:
+        raise QutritBlochError("unital check/choi needs --lam")
     lam = _floats(args.lam, 4, "--lam")
     phi = _floats(args.phi, 4, "--phi") if args.phi else (0.0, 0.0, 0.0, 0.0)
     m = unital.UnitalMap(lam, phi)
@@ -250,13 +253,13 @@ def _io_flags(p) -> None:
 
 def _state_args(p) -> None:
     p.add_argument("direction", choices=("to-bloch", "from-bloch"))
-    p.add_argument("--tol", type=_tolerance, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=GATE_TOL)
     _io_flags(p)
     p.set_defaults(func=_cmd_state)
 
 
 def _check_args(p) -> None:
-    p.add_argument("--tol", type=_tolerance, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=GATE_TOL)
     _io_flags(p)
     p.set_defaults(func=_cmd_check)
 
@@ -351,8 +354,6 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # argparse handles usage errors itself
         return int(exc.code or 0)
     try:
-        if args.command == "unital" and args.action != "vertices" and not args.lam:
-            raise QutritBlochError("unital check/choi needs --lam")
         return args.func(args)
     except (QutritBlochError, json.JSONDecodeError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

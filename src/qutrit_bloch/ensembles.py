@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import matcore
-from .bloch import BlochParams, from_density_batch, polar_weights, to_density
+from .bloch import GATE_TOL, BlochParams, from_density_batch, polar_weights, to_density
 # also bound here, where benchmarks/test_benchmark.py checks the binding
 from .bloch import from_density  # noqa: F401
 from .errors import DegenerateBures, OriginSingularity, OutsideSphere
@@ -57,7 +57,6 @@ __all__ = [
 ]
 
 MEASURES = ("hs", "bures")
-_GATE_TOL = 1e-10  # Hermiticity/trace gate on sampled matrices, as from_density's default
 
 
 def as_rng(seed_or_rng) -> np.random.Generator:
@@ -156,7 +155,7 @@ class EnsembleBatch:
 def sample_batch(measure: str, count: int, seed_or_rng) -> EnsembleBatch:
     """`count` draws and their coordinates, one array pass per column."""
     rho = sample_rhos(measure, count, seed_or_rng)
-    n, theta = from_density_batch(rho, _GATE_TOL)
+    n, theta = from_density_batch(rho, GATE_TOL)
     sq = n * n
     r = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3])  # BlochParams.radius's order
     return EnsembleBatch(

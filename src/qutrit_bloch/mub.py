@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochParams, from_density_batch
+from .bloch import GATE_TOL, BlochParams, from_density_batch
 
 __all__ = ["KetRecord", "MubFamily", "ket_from_angles", "onb_from_ket", "four_mubs",
            "family_document"]
@@ -50,8 +50,8 @@ def _onb_angles(delta: float, gamma: float) -> list[tuple[float, float]]:
 def _chart(kets: np.ndarray) -> list[tuple[np.ndarray, BlochParams]]:
     """Each row ket with the chart parameters of its projector, all read
     off one `from_density_batch` call on the (N, 3, 3) stack."""
-    # tol is from_density's default; outer products of unit kets pass its gates
-    n, theta = from_density_batch(kets[:, :, np.newaxis] * kets[:, np.newaxis, :].conj(), 1e-10)
+    # outer products of unit kets pass the default gates
+    n, theta = from_density_batch(kets[:, :, np.newaxis] * kets[:, np.newaxis, :].conj(), GATE_TOL)
     return [(amps, BlochParams(nk, tk)) for amps, nk, tk in zip(kets, n.tolist(), theta.tolist())]
 
 

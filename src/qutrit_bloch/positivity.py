@@ -100,21 +100,6 @@ def _wave_value(base, coef, theta) -> np.ndarray:
     return base + np.sum(coef * np.cos(theta @ _WAVE_D.T + _WAVE_PHASE), axis=-1)
 
 
-def _bracket(n: Sequence[float], t0, t1, t2, t3):
-    """27 * a3 as a broadcast expression; t* may be arrays."""
-    ts = (t0, t1, t2, t3)
-    out = 1.0 - 3.0 * sum(v * v for v in n)
-    for v, t in zip(n, ts):
-        if v != 0.0:
-            out = out + 2.0 * v ** 3 * np.cos(3.0 * t)
-    for (i, j, k), sign, tsign, phase in _CROSS_TERMS:
-        coef = 6.0 * sign * n[i] * n[j] * n[k]
-        if coef != 0.0:
-            ang = tsign[0] * ts[i] + tsign[1] * ts[j] + tsign[2] * ts[k] + phase
-            out = out + coef * np.cos(ang)
-    return out
-
-
 @dataclass(frozen=True)
 class CharCoeffs:
     """Characteristic polynomial coefficients det(xI - rho) = sum (-1)^k a_k x^{3-k}."""
@@ -140,8 +125,9 @@ def char_coeffs(rho) -> CharCoeffs:
 
 
 def a3_closed_form(p: BlochParams) -> float:
-    """det rho straight from the trigonometric bracket (no matrix built)."""
-    return float(_bracket(p.n, *p.theta)) / 27.0
+    """det rho straight from the trigonometric bracket (no matrix built):
+    one row of `_wave_value`."""
+    return float(_wave_value(*_wave_coefs(np.array(p.n)), np.array(p.theta))) / 27.0
 
 
 def a3_polar(r: float, zeta: Sequence[float], theta: Sequence[float]) -> tuple[float, float]:
@@ -156,7 +142,7 @@ def a3_polar(r: float, zeta: Sequence[float], theta: Sequence[float]) -> tuple[f
     if r < 0:
         raise ValueError("radius must be nonnegative")
     n = polar_weights(r, zeta)
-    value = float(_bracket(tuple(n), *(float(t) for t in theta)))
+    value = float(_wave_value(*_wave_coefs(n), np.asarray(theta, dtype=float)))
     if r == 0.0:
         return value, 0.0
     f = (value - 1.0 + 3.0 * r * r) / (2.0 * r ** 3)

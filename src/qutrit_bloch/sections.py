@@ -10,6 +10,11 @@ the section value on the 6 * a3 scale, i.e. (2/9) * (reduced bracket):
     three:  four distinct expressions, one per retained axis triple,
             differing in the sign and phase of the single cross term.
 
+The three-axis selectors, and the sign, angle signs and phase of each
+one's cross term, are read off the bracket's one table of cross terms,
+`positivity._CROSS_TERMS`: selectors 1-4 are its weight triples in
+sorted order.
+
 `scan` rasterizes a section into a columnar `SectionRaster`, either at
 fixed angles, on an (n, theta) grid (one-axis sections), or maximizing
 over the section's own angles with one `positivity.max_a3_batch` call
@@ -41,28 +46,23 @@ __all__ = [
 ]
 
 _FEASIBLE_TOL = 1e-12
+_BALL_SLACK = 1e-12  # |n|^2 up to 1 + this counts as inside the unit ball
+
+# selector -> the bracket's cross term on the retained triple; sorted
+# triples drop axis 4, 3, 2, 1 in turn
+_THREE_SECTION_TERMS = dict(enumerate(sorted(positivity._CROSS_TERMS), start=1))
 
 # which retained-axis triple (1-based) each three-section selector means,
 # with the sign and phase of its cross term
 THREE_SECTION_AXES = {
-    1: ((1, 2, 3), +1.0, -math.pi / 3.0),
-    2: ((1, 2, 4), +1.0, +math.pi / 3.0),
-    3: ((1, 3, 4), -1.0, 0.0),
-    4: ((2, 3, 4), +1.0, +math.pi / 3.0),
-}
-
-# how the cross-term angle combines the three thetas, per selector
-_THREE_SECTION_THETA_SIGNS = {
-    1: (+1.0, -1.0, +1.0),
-    2: (+1.0, +1.0, +1.0),
-    3: (+1.0, -1.0, -1.0),
-    4: (+1.0, +1.0, -1.0),
+    which: (tuple(i + 1 for i in axes), sign, phase)
+    for which, (axes, sign, _tsign, phase) in _THREE_SECTION_TERMS.items()
 }
 
 
 def one_section_a3(n: float, theta: float) -> float:
     """Section value with a single nonzero weight."""
-    if abs(n) > 1.0 + 1e-12:
+    if abs(n) > 1.0 + _BALL_SLACK:
         raise OutsideSphere(f"|n| = {abs(n):.6f} exceeds 1")
     return (2.0 / 9.0) * (1.0 - 3.0 * n * n + 2.0 * n ** 3 * math.cos(3.0 * theta))
 
@@ -73,7 +73,7 @@ def one_section_window(n: float) -> list[tuple[float, float]]:
     The whole range for |n| <= 1/2; otherwise intervals of half-width
     zeta = arccos(-1/(2|n|)) - 2 pi / 3 around the cube-term optima.
     """
-    if abs(n) > 1.0 + 1e-12:
+    if abs(n) > 1.0 + _BALL_SLACK:
         raise OutsideSphere(f"|n| = {abs(n):.6f} exceeds 1")
     if abs(n) <= 0.5:
         return [(0.0, math.pi)]
@@ -86,7 +86,7 @@ def one_section_window(n: float) -> list[tuple[float, float]]:
 
 def two_section_a3(ni: float, nj: float, thetai: float, thetaj: float) -> float:
     """Section value with two nonzero weights (cross terms all vanish)."""
-    if ni * ni + nj * nj > 1.0 + 1e-12:
+    if ni * ni + nj * nj > 1.0 + _BALL_SLACK:
         raise OutsideSphere(f"ni^2 + nj^2 = {ni * ni + nj * nj:.6f} exceeds 1")
     return (2.0 / 9.0) * (
         1.0
@@ -99,7 +99,7 @@ def two_section_a3(ni: float, nj: float, thetai: float, thetaj: float) -> float:
 def two_section_point_ok(ni: float, nj: float) -> bool:
     """Feasibility of a two-axis weight point: the angle maximum of the
     section (`positivity.closed_form_max`) must be nonnegative."""
-    if ni * ni + nj * nj > 1.0 + 1e-12:
+    if ni * ni + nj * nj > 1.0 + _BALL_SLACK:
         raise OutsideSphere(f"ni^2 + nj^2 = {ni * ni + nj * nj:.6f} exceeds 1")
     a3, _theta = positivity.closed_form_max((ni, nj, 0.0, 0.0))
     return 27.0 * float(a3[0]) >= -_FEASIBLE_TOL
@@ -114,10 +114,9 @@ def three_section_a3(which: int, n: Sequence[float], theta: Sequence[float]) -> 
     theta = tuple(float(t) for t in theta)
     if len(n) != 3 or len(theta) != 3:
         raise ValueError("three-section takes three weights and three angles")
-    if sum(v * v for v in n) > 1.0 + 1e-12:
+    if sum(v * v for v in n) > 1.0 + _BALL_SLACK:
         raise OutsideSphere("weight point outside the unit sphere")
-    _axes, sign, phase = THREE_SECTION_AXES[which]
-    tsign = _THREE_SECTION_THETA_SIGNS[which]
+    _axes, sign, tsign, phase = _THREE_SECTION_TERMS[which]
     cubes = sum(2.0 * v ** 3 * math.cos(3.0 * t) for v, t in zip(n, theta))
     cross_angle = sum(s * t for s, t in zip(tsign, theta)) + phase
     cross = 6.0 * sign * n[0] * n[1] * n[2] * math.cos(cross_angle)
@@ -220,7 +219,7 @@ def scan(spec: SectionSpec) -> tuple[list[str], SectionRaster]:
     weights = np.zeros((res ** len(grids), 4))
     for col, (g, i) in zip(cols, coords):
         weights[:, col] = g[i]
-    inside = np.sum(weights * weights, axis=1) <= 1.0 + 1e-12
+    inside = np.sum(weights * weights, axis=1) <= 1.0 + _BALL_SLACK
     a3 = np.full(len(weights), math.nan)
     if spec.theta_policy == "maximize":  # over the section's own angles
         found = positivity.max_a3_batch(weights[inside], grid_steps=spec.grid_steps,

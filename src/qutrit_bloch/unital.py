@@ -4,7 +4,11 @@ Such a channel multiplies each expansion coefficient by a complex
 eigenvalue; Hermiticity ties the nine eigenvalues into one trivial
 entry (1, trace), and four modulus/phase pairs mirroring the state
 chart's pairing.  On chart parameters the action is simply
-n_i -> lambda_i n_i, theta_i -> theta_i + phi_i.
+n_i -> lambda_i n_i, theta_i -> theta_i + phi_i.  `lambda_table` and
+the slot representatives of the Choi phases (`bloch._PRIMARY_KEYS`) are
+read off the chart's pairing table, `bloch._PAIRING`; its constant
+phases do not enter, as the channel scales each coefficient whatever
+its phase offset.
 
 Complete positivity is fixed by the eigenvalue table alone.  The Choi
 matrix (1/3) sum_a lambda_a conj(U_a) (x) U_a is diagonal in the
@@ -38,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from . import matcore
-from .bloch import BlochParams
+from .bloch import _PAIRING, _PRIMARY_KEYS, BlochParams
 from .weyl import weyl_op, weyl_table
 
 __all__ = [
@@ -54,19 +58,10 @@ __all__ = [
     "edge_lengths",
 ]
 
-# (p, q) -> (slot 0..3, sign of the phase) per the conjugate pairing
-_EIGENVALUE_SLOTS = {
-    (0, 1): (0, +1.0), (0, 2): (0, -1.0),
-    (1, 0): (1, +1.0), (2, 0): (1, -1.0),
-    (1, 2): (2, +1.0), (2, 1): (2, -1.0),
-    (2, 2): (3, +1.0), (1, 1): (3, -1.0),
-}
-
 # (2 pi/3) <a_s, b> mod 2 pi: rows b = (p, q) in row-major order, columns
-# the slots s, whose representative a_s is the key carrying the + phase
-_SLOT_OPS = sorted((slot, key) for key, (slot, sign) in _EIGENVALUE_SLOTS.items() if sign > 0)
+# the slots s, whose representative a_s is the slot's primary key
 _CHOI_PHASES = np.array(
-    [[2.0 * math.pi / 3.0 * ((a1 * q - a2 * p) % 3) for _slot, (a1, a2) in _SLOT_OPS]
+    [[2.0 * math.pi / 3.0 * ((a1 * q - a2 * p) % 3) for a1, a2 in _PRIMARY_KEYS]
      for p in range(3) for q in range(3)]
 )
 
@@ -90,7 +85,7 @@ class UnitalMap:
 def lambda_table(m: UnitalMap) -> dict[tuple[int, int], complex]:
     """All nine eigenvalues keyed by operator index; (0,0) is fixed at 1."""
     table = {(0, 0): 1.0 + 0.0j}
-    for key, (slot, sign) in _EIGENVALUE_SLOTS.items():
+    for key, slot, sign, _phase in _PAIRING:
         table[key] = m.lam[slot] * cmath.exp(1j * sign * m.phi[slot])
     return table
 

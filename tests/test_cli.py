@@ -217,6 +217,15 @@ def test_unital_vertices(invoke):
     assert len(doc["edge_lengths"]) == 10
 
 
+@pytest.mark.parametrize("action", ["check", "choi"])
+def test_unital_needs_lam_except_for_vertices(invoke, action):
+    code, out, err = invoke(["unital", action, "--phi=0,0,0,0"])
+    assert code == 2 and out == ""
+    assert err == "error: unital check/choi needs --lam\n"
+    code, out, _ = invoke(["unital", "vertices"])
+    assert code == 0 and json.loads(out)["vertices"]
+
+
 def test_unital_check_inside_and_outside(invoke):
     code, out, _ = invoke(["unital", "check", "--lam", "0.5,0.5,0.5,0.5"])
     assert code == 0

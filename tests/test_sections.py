@@ -8,8 +8,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import oracle_det
 from qutrit_bloch import positivity, sections
-from qutrit_bloch.bloch import BlochParams
+from qutrit_bloch.bloch import BlochParams, to_density
 from qutrit_bloch.errors import BadSelector, OutsideSphere
 
 
@@ -64,6 +65,23 @@ def test_three_section_reduces_full_form(which, rng):
             n4[axis - 1] = float(ns[k])
             t4[axis - 1] = float(ts[k])
         assert abs(got - full_value(tuple(n4), tuple(t4))) < 1e-14
+
+
+def test_three_section_selectors_match_the_determinant(rng):
+    """Selector k drops axis 5 - k, and each written form is 6 det rho,
+    with det from a permutation expansion of the hand-expanded matrix
+    (neither reads the bracket's cross-term table)."""
+    axes = {which: entry[0] for which, entry in sections.THREE_SECTION_AXES.items()}
+    assert axes == {1: (1, 2, 3), 2: (1, 2, 4), 3: (1, 3, 4), 4: (2, 3, 4)}
+    for which, retained in axes.items():
+        for _ in range(50):
+            ns = rng.uniform(-0.55, 0.55, 3)
+            ts = rng.uniform(0.0, 2.0 * math.pi, 3)
+            n4, t4 = [0.0] * 4, [0.0] * 4
+            for k, axis in enumerate(retained):
+                n4[axis - 1], t4[axis - 1] = float(ns[k]), float(ts[k])
+            det = oracle_det(to_density(BlochParams.canonical(n4, t4)))
+            assert abs(sections.three_section_a3(which, ns, ts) - 6.0 * det.real) < 1e-14
 
 
 def test_three_section_bad_selector():
