@@ -20,7 +20,7 @@ from .bloch import (
     to_polar,
     purity,
 )
-from .errors import QutritBlochError
+from .errors import QutritBlochError, Uncertified
 from .positivity import (
     CharCoeffs,
     RankReport,
@@ -42,6 +42,7 @@ __all__ = [
     "CharCoeffs",
     "RankReport",
     "QutritBlochError",
+    "Uncertified",
     "bloch_coefficients",
     "canonical_pair",
     "from_density",

@@ -119,20 +119,21 @@ def _cmd_state(args) -> int:
 
 def _cmd_check(args) -> int:
     p = parse_state_document(_read_json(args.input), tol=args.tol)
+    a3 = positivity.a3_closed_form(p)
     report = {
-        "physical": positivity.is_physical(p, tol=args.tol),
+        "physical": positivity.in_ball(p, tol=args.tol) and a3 >= -args.tol,
         "purity": purity(p),
         "r": p.radius,
         "char_coeffs": {
             "a2": (1.0 - purity(p)) / 2.0,
-            "a3": positivity.a3_closed_form(p),
+            "a3": a3,
         },
         "rank": None,
         "region": None,
         "rank_consistent": None,
     }
     if report["physical"]:
-        rr = positivity.rank_classify(p, tol=args.tol)
+        rr = positivity.rank_report(p, tol=args.tol)
         report.update(rank=rr.rank, region=rr.region, rank_consistent=rr.consistent)
     _emit_json(report, args.output)
     return 0

@@ -33,6 +33,10 @@ class NotPhysical(QutritBlochError):
     """Parameters do not correspond to a positive semidefinite state."""
 
 
+class Uncertified(QutritBlochError):
+    """The angle search could not prove the sign of a3 at a weight point."""
+
+
 class NotPure(QutritBlochError):
     """State expected to be pure (unit purity) is mixed."""
 

@@ -34,13 +34,14 @@ import numpy as np
 
 from . import matcore
 from .bloch import BlochParams, polar_weights, purity, to_density
-from .errors import NotAState, NotPhysical, OutsideSphere
+from .errors import NotAState, NotPhysical, OutsideSphere, Uncertified
 
 __all__ = [
     "CharCoeffs",
     "char_coeffs",
     "a3_closed_form",
     "a3_polar",
+    "in_ball",
     "is_physical",
     "ThetaSearch",
     "closed_form_max",
@@ -49,6 +50,7 @@ __all__ = [
     "is_point_physical",
     "RankReport",
     "rank_classify",
+    "rank_report",
 ]
 
 _TWO_THIRD_PI = 2.0 * np.pi / 3.0
@@ -149,11 +151,14 @@ def a3_polar(r: float, zeta: Sequence[float], theta: Sequence[float]) -> tuple[f
     return value, float(f)
 
 
+def in_ball(p: BlochParams, tol: float = 1e-10) -> bool:
+    """|n|^2 <= 1 + tol: the a2 >= 0 half of physicality."""
+    return sum(v * v for v in p.n) <= 1.0 + tol
+
+
 def is_physical(p: BlochParams, tol: float = 1e-10) -> bool:
     """Positive semidefinite iff inside the unit ball and a3 >= 0."""
-    if sum(v * v for v in p.n) > 1.0 + tol:
-        return False
-    return a3_closed_form(p) >= -tol
+    return in_ball(p, tol) and a3_closed_form(p) >= -tol
 
 
 # --- weight-point feasibility (search over angles) ----------------------
@@ -165,15 +170,9 @@ _NEWTON_STARTS = 4  # best grid points per row that Newton ascends from
 _NEWTON_ITERS = 30
 _BACKTRACKS = 12  # step halvings before a Newton step is given up
 _MAX_GRID_POINTS = 1 << 24  # re-gridding stops before a row's grid passes this
-
-
-def _wave_slopes(coef, theta, free):
-    """Gradient (M, f) and Hessian (M, f, f) of the bracket in the free angles."""
-    waves = theta @ _WAVE_D.T + _WAVE_PHASE
-    d = _WAVE_D[:, free]
-    grad = -(coef * np.sin(waves)) @ d
-    hess = -np.einsum("mk,ki,kj->mij", coef * np.cos(waves), d, d)
-    return grad, hess
+# a Newton step is tried whole, then - where that lowers the value - at
+# all its halvings at once, and the first that does not is taken
+_HALVINGS = (np.ones(1), 0.5 ** np.arange(1, _BACKTRACKS))
 
 
 def _grid_axes(n: Sequence[float], grid_steps: int):
@@ -269,41 +268,101 @@ def _grid_top(base, coef, free, axes, steps: int, count: int):
     return best_val, theta
 
 
-def _newton(base, coef, theta, free, radius: float):
+# a symmetric 3x3 matrix packed as six columns: the (row, column) of
+# each, and the packed column of each matrix entry
+_SYM3 = ((0, 1, 2, 0, 0, 1), (0, 1, 2, 1, 2, 2))
+_SYM3_FULL = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+
+
+def _sym3_top_eigenvalue(h: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of symmetric 3x3 matrices packed as `_SYM3`
+    columns (M, 6), by the trigonometric formula: with q the mean of the
+    diagonal and p^2 = |A - q|_F^2 / 6, the eigenvalues are
+    q + 2 p cos(acos(det(A - q) / 2 p^3) / 3 + 2 pi k / 3), and k = 0
+    gives the largest.  Where the top two eigenvalues coincide the
+    arccos halves the digits: about 1e-8 p of error there."""
+    a, b, c, d, e, f = h.T
+    q = (a + b + c) / 3.0
+    a, b, c = a - q, b - q, c - q
+    p = np.sqrt((a * a + b * b + c * c + 2.0 * (d * d + e * e + f * f)) / 6.0)
+    det = a * (b * c - f * f) - d * (d * c - e * f) + e * (d * f - b * e)
+    r = det / np.maximum(2.0 * p ** 3, np.finfo(float).tiny)
+    return q + 2.0 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0)
+
+
+def _sym3_solve(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """x (M, 3) with A x = g for the symmetric 3x3 matrices A packed as
+    `_SYM3` columns (M, 6), by the adjugate: x = adj(A) g / det A."""
+    a, b, c, d, e, f = h.T
+    adj = np.stack([b * c - f * f, a * c - e * e, a * b - d * d,
+                    e * f - c * d, d * f - b * e, d * e - a * f], axis=1)
+    det = a * adj[:, 0] + d * adj[:, 3] + e * adj[:, 4]
+    return np.einsum("mij,mj->mi", adj[:, _SYM3_FULL], g) / det[:, None]
+
+
+def _newton(base, coef, theta, free, keep, radius: float):
     """Damped Newton ascent of the bracket in the free angles, one start
     per row of theta.  The Hessian is shifted until negative definite,
     a step moves no angle by more than `radius`, and it is taken only if
     the bracket does not fall (else halved), so each value returned is
     attained at the angles returned and is at least the start's.  A row
-    stops once a step no longer raises its value."""
-    theta = theta.copy()
-    eye = np.eye(len(free))
+    stops once a step no longer raises its value.
+
+    Only the waves `keep` (those with nonzero amplitudes: 4 for three
+    active weights, 8 for four) and the free angles enter; each
+    iterate's wave angles and cosines are computed once, when its value
+    is.  Three free angles take the shifted step in closed form
+    (`_sym3_top_eigenvalue`, `_sym3_solve`), four through LAPACK."""
     margin = 1e-6 * (np.abs(coef) @ _WAVE_CURVATURE) + 1e-300
-    val = _wave_value(base, coef, theta)
-    alive = np.arange(len(theta))
+    coef = coef[:, keep]
+    d = _WAVE_D[np.ix_(keep, free)]
+    phase = _WAVE_PHASE[keep]
+    three = len(free) == 3
+    i, j = _SYM3 if three else np.divmod(np.arange(len(free) ** 2), len(free))
+    dd = d[:, i] * d[:, j]  # Hessian entries: -(c cos(waves)) @ dd
+    x = theta[:, free]
+    waves = x @ d.T + phase
+    cos = np.cos(waves)
+    val = base + np.sum(coef * cos, axis=1)
+    alive = np.arange(len(x))
     for _ in range(_NEWTON_ITERS):
-        grad, hess = _wave_slopes(coef[alive], theta[alive], free)
-        shift = np.maximum(np.linalg.eigvalsh(hess)[:, -1] + margin[alive], 0.0)
-        step = np.linalg.solve(hess - shift[:, None, None] * eye, -grad[:, :, None])[:, :, 0]
+        c = coef[alive]
+        neg_grad = (c * np.sin(waves[alive])) @ d
+        hess = -(c * cos[alive]) @ dd
+        if three:
+            shift = np.maximum(_sym3_top_eigenvalue(hess) + margin[alive], 0.0)
+            hess[:, :3] -= shift[:, None]
+            step = _sym3_solve(hess, neg_grad)
+        else:
+            hess = hess.reshape(-1, len(free), len(free))
+            shift = np.maximum(np.linalg.eigvalsh(hess)[:, -1] + margin[alive], 0.0)
+            hess -= shift[:, None, None] * np.eye(len(free))
+            step = np.linalg.solve(hess, neg_grad[:, :, None])[:, :, 0]
         step *= np.minimum(1.0, radius / np.maximum(np.abs(step).max(axis=1), 1e-300))[:, None]
         rose = np.zeros(len(alive), dtype=bool)
         pending = np.arange(len(alive))
-        for _ in range(_BACKTRACKS):
+        for halves in _HALVINGS:
             rows = alive[pending]
-            trial = theta[rows]
-            trial[:, free] += step[pending]
-            trial_val = _wave_value(base[rows], coef[rows], trial)
-            up = trial_val >= val[rows]
-            rose[pending[up]] = trial_val[up] > val[rows[up]]
-            theta[rows[up]] = trial[up]
-            val[rows[up]] = trial_val[up]
+            trial = x[rows] + halves[:, None, None] * step[pending]
+            trial_waves = trial @ d.T + phase
+            trial_cos = np.cos(trial_waves)
+            trial_val = base[rows] + np.sum(coef[rows] * trial_cos, axis=-1)
+            ok = trial_val >= val[rows]
+            first = np.argmax(ok, axis=0)
+            up = ok[first, np.arange(len(rows))]
+            pick = first[up], np.flatnonzero(up)
+            moved = rows[up]
+            rose[pending[up]] = trial_val[pick] > val[moved]
+            x[moved], waves[moved], cos[moved], val[moved] = (
+                trial[pick], trial_waves[pick], trial_cos[pick], trial_val[pick])
             pending = pending[~up]
             if not pending.size:
                 break
-            step[pending] *= 0.5
         alive = alive[rose]
         if not alive.size:
             break
+    theta = theta.copy()
+    theta[:, free] = x
     return val, theta
 
 
@@ -311,6 +370,7 @@ def _search_block(n: np.ndarray, grid_steps: int, refine: bool, tol: float):
     """Certified search for rows that share one set of three or four
     active weights; returns (27 a3 found, angles, settled)."""
     base, coef = _wave_coefs(n)
+    keep = np.flatnonzero(np.any(coef != 0.0, axis=0))
     curvature = np.abs(coef) @ _WAVE_CURVATURE
     floor = -27.0 * tol
     best = np.full(len(n), -np.inf)
@@ -329,7 +389,7 @@ def _search_block(n: np.ndarray, grid_steps: int, refine: bool, tol: float):
         if refine:
             k = vals.shape[1]
             rows = np.repeat(todo, k)
-            vals, starts = _newton(base[rows], coef[rows], starts.reshape(-1, 4), free, h)
+            vals, starts = _newton(base[rows], coef[rows], starts.reshape(-1, 4), free, keep, h)
             vals, starts = vals.reshape(-1, k), starts.reshape(-1, k, 4)
         pick = np.argmax(vals, axis=1)
         found = vals[np.arange(len(todo)), pick]
@@ -426,12 +486,16 @@ def max_a3_over_theta(n: Sequence[float], grid_steps: int = 8, refine: bool = Tr
 
 def is_point_physical(n: Sequence[float], grid_steps: int = 8, refine: bool = True,
                       tol: float = 1e-10) -> bool:
-    """Does any angle assignment make this weight point a state?"""
+    """Does any angle assignment make this weight point a state?  Raises
+    `Uncertified` where the search cannot prove the sign of a3 + tol."""
     n = tuple(float(v) for v in n)
     r2 = sum(v * v for v in n)
     if r2 > 1.0 + tol:
         raise OutsideSphere(f"|n|^2 = {r2:.6f} exceeds 1")
     found = max_a3_batch([n], grid_steps=grid_steps, refine=refine, tol=tol)
+    if not found.certified[0]:
+        raise Uncertified(f"the angle search left the sign of a3 + tol unproven at n = {n} "
+                          f"(largest a3 found {found.a3[0]:.6e}, tol {tol:g})")
     return bool(found.a3[0] >= -tol)
 
 
@@ -448,13 +512,19 @@ class RankReport:
 
 
 def rank_classify(p: BlochParams, tol: float = 1e-10) -> RankReport:
-    """Numerical rank plus the radial region it should belong to.
+    """Numerical rank plus the radial region it should belong to;
+    `rank_report` behind the `is_physical` gate."""
+    if not is_physical(p, tol):
+        raise NotPhysical("rank classification requires a physical state")
+    return rank_report(p, tol)
+
+
+def rank_report(p: BlochParams, tol: float = 1e-10) -> RankReport:
+    """`rank_classify` for a state already known to be physical (no gate).
 
     Surface (|n| = 1) states are pure, the open ball of radius 1/2 is
     all rank 3, and the shell in between holds ranks 2 and 3.
     """
-    if not is_physical(p, tol):
-        raise NotPhysical("rank classification requires a physical state")
     eigs = matcore.herm_eigvals(to_density(p))
     rank = int(np.sum(eigs > tol))
     r = p.radius

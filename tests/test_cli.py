@@ -66,6 +66,19 @@ def test_check_physical_state(invoke):
     assert rep["char_coeffs"]["a3"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_check_evaluates_the_bracket_once(invoke, monkeypatch):
+    """`physical` and the reported a3 share one bracket evaluation, and
+    the rank report does not gate on physicality again."""
+    calls = []
+    wave_value = positivity._wave_value
+    monkeypatch.setattr(positivity, "_wave_value", lambda *a: calls.append(1) or wave_value(*a))
+    doc = {"bloch": {"n": [0.3, -0.2, 0.1, 0.25], "theta": [0.4, 1.1, 2.2, 0.9]}}
+    code, out, _ = invoke(["check"], json.dumps(doc))
+    rep = json.loads(out)
+    assert code == 0 and rep["physical"] is True and rep["rank"] == 3
+    assert len(calls) == 1
+
+
 def test_check_nonphysical_point(invoke):
     doc = {"bloch": {"n": [0.6, 0.6, 0.0, 0.0], "theta": [0.0, 0.0, 0.0, 0.0]}}
     code, out, _ = invoke(["check"], json.dumps(doc))

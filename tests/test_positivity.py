@@ -10,7 +10,7 @@ import pytest
 from conftest import oracle_eigvals, random_density, random_params
 from qutrit_bloch import positivity
 from qutrit_bloch.bloch import BlochParams, from_density, to_density
-from qutrit_bloch.errors import NotPhysical, OutsideSphere
+from qutrit_bloch.errors import NotPhysical, OutsideSphere, Uncertified
 
 
 def _random_chart_point(rng):
@@ -155,6 +155,9 @@ def test_max_a3_two_axis_witness():
 
 
 def test_is_point_physical_matches_search(rng):
+    """A proven verdict agrees with a finer search; a row the search
+    leaves uncertified raises instead of answering."""
+    verdicts = []
     for _ in range(12):
         n = rng.uniform(-0.7, 0.7, 4)
         if float(np.dot(n, n)) > 1.0:
@@ -162,7 +165,11 @@ def test_is_point_physical_matches_search(rng):
         best, _ = positivity.max_a3_over_theta(tuple(n), grid_steps=30)
         if abs(best) < 1e-10:
             continue
-        assert positivity.is_point_physical(tuple(n), grid_steps=24) == (best > 0)
+        try:
+            verdicts.append(positivity.is_point_physical(tuple(n), grid_steps=24) == (best > 0))
+        except Uncertified:
+            continue
+    assert len(verdicts) >= 5 and all(verdicts)
 
 
 def test_is_point_physical_outside_sphere():
@@ -344,6 +351,163 @@ def test_unrefined_search_returns_the_grid_value(rng):
         refined, _ = positivity.max_a3_over_theta(n)
         assert abs(_bracket_reference(n, *theta) / 27.0 - coarse) < 1e-15
         assert coarse <= refined + 1e-15
+
+
+def _seeded_weights(count: int = 4000) -> np.ndarray:
+    """Weight points with standard-normal directions and radius uniform
+    in [0.5, 1], from default_rng(7)."""
+    rng = np.random.default_rng(7)
+    d = rng.standard_normal((count, 4))
+    return d / np.linalg.norm(d, axis=1, keepdims=True) * rng.uniform(0.5, 1.0, (count, 1))
+
+
+def test_uncertified_point_raises_instead_of_answering():
+    """Row 3 of the seeded set is the first the search leaves open: its
+    best a3 is about -1.6e-4, but the curvature bound on the last grid
+    below 2^24 points still reaches above -tol, so no verdict is proven."""
+    n = _seeded_weights()[3]
+    assert np.allclose(n, (0.0710, -0.6264, -0.0197, 0.4681), atol=5e-5)
+    found = positivity.max_a3_batch([n])
+    assert not found.certified[0] and found.a3[0] < -1e-4
+    with pytest.raises(Uncertified, match="unproven"):
+        positivity.is_point_physical(tuple(n))
+
+
+# --- the Newton kernel ----------------------------------------------------------
+
+
+def _pack(a: np.ndarray) -> np.ndarray:
+    return a[:, positivity._SYM3[0], positivity._SYM3[1]]
+
+
+def _symmetric_stacks(rng):
+    """Named (M, 3, 3) symmetric stacks for the closed-form top eigenvalue."""
+    q = np.linalg.qr(rng.standard_normal((200, 3, 3)))[0]
+
+    def rotated(eigs):
+        return np.einsum("mij,mj,mkj->mik", q, eigs, q)
+
+    raw = rng.standard_normal((200, 3, 3)) * 10.0 ** rng.uniform(-6, 6, (200, 1, 1))
+    lam = rng.standard_normal((200, 1)) * 10.0 ** rng.uniform(-3, 3, (200, 1))
+    gap = np.abs(rng.standard_normal((200, 1))) + 0.1
+    ones = np.ones((200, 1))
+    return {
+        "random": raw + np.swapaxes(raw, 1, 2),
+        "diagonal": np.einsum("mi,ij->mij", rng.standard_normal((200, 3)), np.eye(3)),
+        "scalar": np.einsum("m,ij->mij", lam[:, 0], np.eye(3)),
+        "repeated low": rotated(np.hstack([lam - gap, lam - gap, lam])),
+        "repeated top": rotated(np.hstack([lam - gap, lam, lam])),
+        "near singular": rotated(np.hstack([ones, 1e-12 * ones, -ones])),
+    }
+
+
+def test_closed_form_top_eigenvalue_matches_lapack(rng):
+    """Within a few ulps of the largest |eigenvalue|, plus the arccos's
+    loss near a double top eigenvalue: spread^2 / gap ulps, and at most
+    sqrt(ulp) * spread where the top two coincide."""
+    eps = np.finfo(float).eps
+    for name, a in _symmetric_stacks(rng).items():
+        got = positivity._sym3_top_eigenvalue(_pack(a))
+        eigs = np.linalg.eigvalsh(a)
+        spread, gap = eigs[:, -1] - eigs[:, 0], eigs[:, -1] - eigs[:, -2]
+        conditioning = spread * np.minimum(spread / np.maximum(gap, 1e-300), eps ** -0.5)
+        bound = 64.0 * eps * (np.abs(eigs).max(axis=1) + conditioning)
+        assert np.all(np.abs(got - eigs[:, -1]) <= bound), name
+
+
+def test_closed_form_solve_matches_lapack(rng):
+    q = np.linalg.qr(rng.standard_normal((300, 3, 3)))[0]
+    raw = rng.standard_normal((300, 3, 3))
+    spectra = {
+        "random": raw + np.swapaxes(raw, 1, 2) + 6.0 * np.eye(3),
+        "diagonal": np.einsum("mi,ij->mij", rng.uniform(0.5, 2.0, (300, 3)), np.eye(3)),
+        "repeated": np.einsum("mij,mj,mkj->mik", q, np.repeat([[-2.0, -2.0, -0.5]], 300, 0), q),
+        # condition numbers up to 1e10, as a tiny shift leaves them
+        "near singular": np.einsum("mij,mj,mkj->mik", q, -np.column_stack(
+            [np.ones(300), np.full(300, 0.3), 10.0 ** rng.uniform(-10, -4, 300)]), q),
+    }
+    g = rng.standard_normal((300, 3))
+    for name, a in spectra.items():
+        got = positivity._sym3_solve(_pack(a), g)
+        want = np.linalg.solve(a, g[:, :, None])[:, :, 0]
+        cond = np.linalg.cond(a)
+        err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+        assert np.all(err <= 1e-14 * cond), name
+
+
+def _frozen_wave_slopes(coef, theta, free):
+    """The parent kernel's gradient and Hessian, kept as an oracle."""
+    waves = theta @ positivity._WAVE_D.T + positivity._WAVE_PHASE
+    d = positivity._WAVE_D[:, free]
+    grad = -(coef * np.sin(waves)) @ d
+    hess = -np.einsum("mk,ki,kj->mij", coef * np.cos(waves), d, d)
+    return grad, hess
+
+
+def _frozen_newton(base, coef, theta, free, radius: float):
+    """The Newton stage before the lean kernel, frozen as an oracle: all
+    eight waves and four angles, angles and slopes recomputed each
+    iteration, LAPACK for the shifted step, one halving per pass."""
+    theta = theta.copy()
+    eye = np.eye(len(free))
+    margin = 1e-6 * (np.abs(coef) @ positivity._WAVE_CURVATURE) + 1e-300
+    val = positivity._wave_value(base, coef, theta)
+    alive = np.arange(len(theta))
+    for _ in range(positivity._NEWTON_ITERS):
+        grad, hess = _frozen_wave_slopes(coef[alive], theta[alive], free)
+        shift = np.maximum(np.linalg.eigvalsh(hess)[:, -1] + margin[alive], 0.0)
+        step = np.linalg.solve(hess - shift[:, None, None] * eye, -grad[:, :, None])[:, :, 0]
+        step *= np.minimum(1.0, radius / np.maximum(np.abs(step).max(axis=1), 1e-300))[:, None]
+        rose = np.zeros(len(alive), dtype=bool)
+        pending = np.arange(len(alive))
+        for _ in range(positivity._BACKTRACKS):
+            rows = alive[pending]
+            trial = theta[rows]
+            trial[:, free] += step[pending]
+            trial_val = positivity._wave_value(base[rows], coef[rows], trial)
+            up = trial_val >= val[rows]
+            rose[pending[up]] = trial_val[up] > val[rows[up]]
+            theta[rows[up]] = trial[up]
+            val[rows[up]] = trial_val[up]
+            pending = pending[~up]
+            if not pending.size:
+                break
+            step[pending] *= 0.5
+        alive = alive[rose]
+        if not alive.size:
+            break
+    return val, theta
+
+
+def _raster_weights(resolution: int) -> list[np.ndarray]:
+    """In-ball weight points of the four three-axis rasters."""
+    grid = np.linspace(-1.0, 1.0, resolution)
+    cube = np.stack([m.ravel() for m in np.meshgrid(grid, grid, grid, indexing="ij")], axis=-1)
+    cube = cube[np.sum(cube * cube, axis=1) <= 1.0 + 1e-12]
+    return [np.insert(cube, omitted, 0.0, axis=1) for omitted in range(4)]
+
+
+@pytest.mark.parametrize("name", ["raster 8", "three active", "four active"])
+def test_newton_kernel_matches_the_frozen_kernel(name, monkeypatch):
+    """The lean kernel against the parent one, row by row, through the
+    whole search (grid, certificate and re-gridding alike)."""
+    if name == "raster 8":
+        sets = [(n, 1e-12 / 6.0) for n in _raster_weights(8)]
+    else:
+        n = _seeded_weights(400 if name == "three active" else 60)
+        if name == "three active":
+            n[:, 3] = 0.0
+        sets = [(n, 1e-10)]
+    for n, tol in sets:
+        found = positivity.max_a3_batch(n, tol=tol)
+        with monkeypatch.context() as m:
+            m.setattr(positivity, "_newton", lambda base, coef, theta, free, keep, radius:
+                      _frozen_newton(base, coef, theta, free, radius))
+            frozen = positivity.max_a3_batch(n, tol=tol)
+        assert np.abs(found.a3 - frozen.a3).max() <= 1e-16
+        assert np.array_equal(found.certified, frozen.certified)
+        attained = _bracket_reference(n.T, *found.theta.T) / 27.0
+        assert np.abs(attained - found.a3).max() <= 1e-16
 
 
 # --- rank classification ------------------------------------------------------

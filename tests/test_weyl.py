@@ -62,6 +62,35 @@ def test_gram_matrix_is_d_times_identity(d):
     assert weyl.orthonormality_check(d) < 1e-12
 
 
+def brute_force_classes(d: int) -> list[list[tuple[int, int]]]:
+    """Commuting classes from commutator norms of the explicit matrices,
+    with no use of the symplectic condition; each class is checked to
+    commute internally and the partition to have d + 1 classes of d - 1."""
+    ops = weyl.weyl_table(d)
+    keys = [k for k in sorted(ops) if k != (0, 0)]
+
+    def commutes(a, b) -> bool:
+        return np.abs(ops[a] @ ops[b] - ops[b] @ ops[a]).max() < 1e-10
+
+    classes: list[list[tuple[int, int]]] = []
+    assigned: set[tuple[int, int]] = set()
+    for k in keys:
+        if k in assigned:
+            continue
+        cls = sorted(m for m in keys if commutes(k, m))
+        assert all(commutes(a, b) for a in cls for b in cls)
+        classes.append(cls)
+        assigned.update(cls)
+    classes.sort(key=lambda c: c[0])
+    assert len(classes) == d + 1 and all(len(c) == d - 1 for c in classes)
+    return classes
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_symplectic_classes_match_commutator_norms(d):
+    assert weyl.commuting_classes(d) == brute_force_classes(d)
+
+
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_commuting_classes_partition(d):
     classes = weyl.commuting_classes(d)
