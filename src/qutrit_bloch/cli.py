@@ -53,7 +53,11 @@ _SAMPLE_HEADER = (
 
 
 def _read_json(path: str | None) -> dict:
-    text = sys.stdin.read() if path in (None, "-") else open(path).read()
+    if path in (None, "-"):
+        text = sys.stdin.read()
+    else:
+        with open(path) as fh:
+            text = fh.read()
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise QutritBlochError("expected a JSON object")
@@ -356,7 +360,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (QutritBlochError, json.JSONDecodeError, FileNotFoundError, ValueError) as exc:
+    except (QutritBlochError, json.JSONDecodeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - internal failure path

@@ -16,9 +16,10 @@ statistical test is a shape/ratio test):
 
     simplex:  HS     prod_{j<k} (l_j - l_k)^2
               Bures  prod (l_j - l_k)^2 / [ sqrt(prod l) prod (l_j + l_k) ]
-    radial/angular (weights chart, D = det rho):
-              HS     ((r-1)^2 (2r+1) - 27 D)((r+1)^2 (2r-1) + 27 D) / (27 r^3)
-              Bures  same numerator / (27 r^3 ((1-r^2)/3 - D) sqrt(D))
+    radial/angular (weights chart, 27 D = 27 det rho = 1 - 3r^2 + 2r^3 F,
+    F(zeta, theta) in [-1, 1] from `positivity.a3_polar`; no cancellation):
+              HS     4 r^3 (1 - F^2) / 27
+              Bures  HS / (((1-r^2)/3 - D) sqrt(D))
     qubit:    HS 3/(4 pi);   Bures 4 / (pi sqrt(1 - r^2)).
 """
 
@@ -32,10 +33,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import matcore
-from .bloch import GATE_TOL, BlochParams, from_density_batch, polar_weights, to_density
+from .bloch import GATE_TOL, BlochParams, from_density_batch
 # also bound here, where benchmarks/test_benchmark.py checks the binding
 from .bloch import from_density  # noqa: F401
 from .errors import DegenerateBures, OriginSingularity, OutsideSphere
+from .positivity import a3_polar
 
 __all__ = [
     "EnsembleBatch",
@@ -214,34 +216,30 @@ def bures_density_simplex(eigs: Sequence[float]) -> float:
 # --- densities in the weights chart --------------------------------------
 
 
-def _det_from_polar(r: float, zeta: Sequence[float], theta: Sequence[float]) -> float:
-    n = polar_weights(r, zeta)
-    if sum(v * v for v in n) > 1.0 + 1e-9:
-        raise OutsideSphere("radius exceeds the unit sphere")
-    p = BlochParams.canonical(n, theta)
-    return float(matcore.det(to_density(p)).real)
+def _radial_form(s: float, f: float) -> tuple[float, float]:
+    """(4 s^3 (1 - F^2) / 27, det rho) for weight radius s and angular
+    factor F; shared by both charts."""
+    return 4.0 * s ** 3 * (1.0 - f * f) / 27.0, (1.0 - 3.0 * s * s + 2.0 * s ** 3 * f) / 27.0
 
 
-def _hs_bloch_parts(r: float, zeta, theta) -> tuple[float, float]:
+def _radial_parts(r: float, zeta, theta) -> tuple[float, float]:
+    """(HS density, det rho) at the polar point (r, zeta, theta)."""
+    _bracket, f = a3_polar(r, zeta, theta)  # rejects non-finite input and r < 0
+    r = float(r)
     if r == 0.0:
         raise OriginSingularity("radial density has a 1/r^3 prefactor")
-    d = _det_from_polar(r, zeta, theta)
-    num = ((r - 1.0) ** 2 * (2.0 * r + 1.0) - 27.0 * d) * (
-        (r + 1.0) ** 2 * (2.0 * r - 1.0) + 27.0 * d
-    )
-    return num, d
+    if r * r > 1.0 + 1e-9:
+        raise OutsideSphere("radius exceeds the unit sphere")
+    return _radial_form(r, f)
 
 
 def hs_density_bloch(r: float, zeta: Sequence[float], theta: Sequence[float]) -> float:
     """Hilbert-Schmidt radial/angular density (constant set to 1)."""
-    r = float(r)
-    num, _d = _hs_bloch_parts(r, zeta, theta)
-    return num / (27.0 * r ** 3)
+    return _radial_parts(r, zeta, theta)[0]
 
 
-def _bures_ratio(num: float, prefactor: float, d: float, gap: float, gap_label: str,
-                 signed: bool) -> float:
-    """num / (prefactor * gap * sqrt(D)) where D > 0 and gap > 0.
+def _bures_ratio(hs: float, d: float, gap: float, gap_label: str, signed: bool) -> float:
+    """hs / (gap * sqrt(D)) where D > 0 and gap > 0.
 
     Elsewhere raise, or with signed=True read sqrt(D) as sign(D) sqrt|D|
     (equal to sqrt(D) inside the domain); shared by both Bures charts.
@@ -253,7 +251,7 @@ def _bures_ratio(num: float, prefactor: float, d: float, gap: float, gap_label: 
             )
         if d == 0.0 or gap == 0.0:
             raise DegenerateBures("denominator vanishes exactly; no finite diagnostic")
-    return num / (prefactor * gap * math.copysign(math.sqrt(abs(d)), d))
+    return hs / (gap * math.copysign(math.sqrt(abs(d)), d))
 
 
 def bures_density_bloch(r: float, zeta: Sequence[float], theta: Sequence[float],
@@ -265,10 +263,9 @@ def bures_density_bloch(r: float, zeta: Sequence[float], theta: Sequence[float],
     obtained by reading sqrt(D) as sign(D) sqrt|D|, whose sign change
     marks the boundary of the physical body.
     """
+    hs, d = _radial_parts(r, zeta, theta)
     r = float(r)
-    num, d = _hs_bloch_parts(r, zeta, theta)
-    gap = (1.0 - r * r) / 3.0 - d
-    return _bures_ratio(num, 27.0 * r ** 3, d, gap, "(1-r^2)/3 - det", signed)
+    return _bures_ratio(hs, d, (1.0 - r * r) / 3.0 - d, "(1-r^2)/3 - det", signed)
 
 
 def qubit_hs_density(r: float) -> float:

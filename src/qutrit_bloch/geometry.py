@@ -14,9 +14,10 @@ import math
 
 import numpy as np
 
-from .bloch import BlochParams, from_density, purity
+from .bloch import BlochParams, purity
 from .ensembles import as_rng, haar_unitary
 from .errors import NotPhysical, NotPure
+from .mub import _chart
 from .positivity import is_physical
 
 __all__ = [
@@ -92,19 +93,18 @@ def hs_distance(a: BlochParams, b: BlochParams) -> float:
     return math.sqrt(2.0 / 3.0) * math.sqrt(max(acc, 0.0))
 
 
-def _classify_pair(a: BlochParams, b: BlochParams, tol: float):
-    na = np.array(a.n)
-    nb = np.array(b.n)
-    dev_same = float(np.max(np.abs(na - nb)))
-    dev_anti = float(np.max(np.abs(na + nb)))
-    dev_unsigned = float(np.max(np.abs(np.abs(na) - np.abs(nb))))
-    if dev_same <= tol:
-        kind = "same_point"
-    elif dev_anti <= tol:
-        kind = "antipodal"
-    else:
-        kind = "neither"
-    return kind, dev_unsigned <= tol, min(dev_same, dev_anti, dev_unsigned)
+_KINDS = ("same_point", "antipodal", "neither")
+
+
+def _classify_pair(na: np.ndarray, nb: np.ndarray, tol: float):
+    """Relation of the weight vectors na, nb (..., 4): the kind (an index
+    into `_KINDS`), whether the unsigned weights agree, and the smallest
+    of the three deviations."""
+    dev_same = np.max(np.abs(na - nb), axis=-1)
+    dev_anti = np.max(np.abs(na + nb), axis=-1)
+    dev_unsigned = np.max(np.abs(np.abs(na) - np.abs(nb)), axis=-1)
+    kind = np.where(dev_same <= tol, 0, np.where(dev_anti <= tol, 1, 2))
+    return kind, dev_unsigned <= tol, np.minimum(np.minimum(dev_same, dev_anti), dev_unsigned)
 
 
 def conjecture1_explore(trials: int, seed, tol: float = 1e-8) -> dict:
@@ -114,28 +114,19 @@ def conjecture1_explore(trials: int, seed, tol: float = 1e-8) -> dict:
     Counts are over ket pairs (three per basis).  `same_weights`
     additionally counts pairs whose unsigned weights agree - the
     invariant the closed MUB constructions realize.  Observational
-    only: no judgment is made.
+    only: no judgment is made.  The bases are drawn in order, then all
+    3 * trials ket projectors are charted in one batch.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = as_rng(seed)
-    counts = {"same_point": 0, "antipodal": 0, "neither": 0}
-    same_weights = 0
-    worst = 0.0
-    for _ in range(trials):
-        u = haar_unitary(rng)
-        params = [from_density(np.outer(u[:, k], u[:, k].conj())) for k in range(3)]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                kind, unsigned_same, dev = _classify_pair(params[i], params[j], tol)
-                counts[kind] += 1
-                same_weights += int(unsigned_same)
-                worst = max(worst, dev)
+    kets = np.array([haar_unitary(rng).T for _ in range(trials)]).reshape(-1, 3)
+    n = np.array([p.n for _ket, p in _chart(kets)]).reshape(trials, 3, 4)
+    kind, unsigned_same, dev = _classify_pair(n[:, [0, 0, 1]], n[:, [1, 2, 2]], tol)
+    counts = np.bincount(kind.ravel(), minlength=len(_KINDS))
     return {
         "trials": int(trials),
-        "same_point": counts["same_point"],
-        "antipodal": counts["antipodal"],
-        "neither": counts["neither"],
-        "same_weights": same_weights,
-        "worst_deviation": worst,
+        **{name: int(c) for name, c in zip(_KINDS, counts)},
+        "same_weights": int(np.count_nonzero(unsigned_same)),
+        "worst_deviation": float(np.max(dev)),
     }

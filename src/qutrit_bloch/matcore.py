@@ -1,11 +1,11 @@
 """Small dense complex-matrix kernel used by the rest of the package.
 
-Only the dimensions that actually occur here are supported: 2x2 and 3x3
-(qubit/qutrit states) and 9x9.  Hermitian spectra take one path: the
-input is validated (finite, square, a supported dimension, Hermitian
-within tolerance) and handed to LAPACK through `numpy.linalg.eigvalsh`.
-3x3 determinants take one cofactor expansion in real arithmetic, for
-one matrix (`det`) or a stack (`det_batch`).
+Only 3x3 (qutrit) matrices are supported; other sizes raise
+`DimensionUnsupported`.  Hermitian spectra take one path: the input is
+validated (finite, 3x3, Hermitian within tolerance) and handed to LAPACK
+through `numpy.linalg.eigvalsh`.  Determinants take one cofactor
+expansion in real arithmetic over a stack (`det_batch`); `det` is one
+row of it.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import numpy as np
 from .errors import DimensionUnsupported, NonHermitian
 
 __all__ = ["as_matrix", "herm_eigvals", "det", "det_batch"]
-
-_EIG_DIMS = (2, 3, 9)
 
 
 def as_matrix(m) -> np.ndarray:
@@ -36,11 +34,10 @@ def _check_hermitian(a: np.ndarray, tol: float) -> None:
 
 
 def herm_eigvals(m, tol: float = 1e-10) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending, from LAPACK."""
+    """Eigenvalues of a Hermitian 3x3 matrix, ascending, from LAPACK."""
     a = as_matrix(m)
-    dim = a.shape[0]
-    if dim not in _EIG_DIMS:
-        raise DimensionUnsupported(f"herm_eigvals supports dims {_EIG_DIMS}, got {dim}")
+    if a.shape != (3, 3):
+        raise DimensionUnsupported(f"herm_eigvals supports only 3x3, got {a.shape}")
     _check_hermitian(a, tol)
     return np.linalg.eigvalsh(a)
 
@@ -57,7 +54,7 @@ def _csub(p, q):
 
 def _cofactor3(e):
     """(re, im) of a 3x3 determinant by cofactor expansion along row 0;
-    `e` is a 3x3 grid of (re, im) pairs of floats or equal-shape arrays."""
+    `e` is a 3x3 grid of (re, im) pairs of equal-shape arrays."""
     (a, b, c), (d, f, g), (h, i, j) = e
     x = _cmul(a, _csub(_cmul(f, j), _cmul(g, i)))
     y = _cmul(b, _csub(_cmul(d, j), _cmul(g, h)))
@@ -66,15 +63,12 @@ def _cofactor3(e):
 
 
 def det(m) -> complex:
-    """Determinant; cofactor expansion at 3x3, LU elsewhere."""
-    a = as_matrix(m)
-    if a.shape[0] == 3:
-        return complex(*_cofactor3([[(v.real, v.imag) for v in row] for row in a.tolist()]))
-    return complex(np.linalg.det(a))
+    """Determinant of a 3x3 matrix: one row of `det_batch`."""
+    return complex(det_batch(as_matrix(m)[np.newaxis])[0])
 
 
 def det_batch(m) -> np.ndarray:
-    """Determinants of an (N, 3, 3) stack; row k equals det(m[k]) bit for bit."""
+    """Determinants of an (N, 3, 3) stack by cofactor expansion."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 3 or a.shape[1:] != (3, 3):
         raise DimensionUnsupported(f"expected an (N, 3, 3) stack, got shape {a.shape}")

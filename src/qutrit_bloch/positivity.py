@@ -137,18 +137,21 @@ def a3_polar(r: float, zeta: Sequence[float], theta: Sequence[float]) -> tuple[f
 
         value = 27 * a3 = 1 - 3 r^2 + 2 r^3 F,   F in [-1, 1].
 
-    F carries the whole angular dependence; at the origin it is set to 0
-    by convention (the bracket is 1 there regardless).
+    F carries the whole angular dependence; as the wave amplitudes are
+    cubic in the weights, it is half the wave sum at the unit direction
+    polar_weights(1, zeta).  At the origin F is set to 0 by convention
+    (the bracket is 1 there regardless).
     """
     r = float(r)
+    if not np.isfinite([r, *zeta, *theta]).all():
+        raise ValueError("non-finite polar point")
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    n = polar_weights(r, zeta)
-    value = float(_wave_value(*_wave_coefs(n), np.asarray(theta, dtype=float)))
     if r == 0.0:
-        return value, 0.0
-    f = (value - 1.0 + 3.0 * r * r) / (2.0 * r ** 3)
-    return value, float(f)
+        return 1.0, 0.0
+    _base, coef = _wave_coefs(polar_weights(1.0, zeta))
+    f = 0.5 * float(_wave_value(0.0, coef, np.asarray(theta, dtype=float)))
+    return 1.0 - 3.0 * r * r + 2.0 * r ** 3 * f, f
 
 
 def in_ball(p: BlochParams, tol: float = 1e-10) -> bool:

@@ -53,6 +53,16 @@ def oracle_det(m) -> complex:
     return total
 
 
+def oracle_spectral_parts(traceless) -> tuple[float, float, float]:
+    """(prod (l_j - l_k)^2, prod (l_j + l_k), prod l) of the state
+    rho = I/3 + traceless, from the LAPACK eigenvalues of the traceless
+    part shifted by 1/3; differences of that small spectrum keep full
+    relative precision at small radius."""
+    l1, l2, l3 = np.linalg.eigvalsh(np.asarray(traceless, dtype=complex)) + 1.0 / 3.0
+    vand = ((l1 - l2) * (l1 - l3) * (l2 - l3)) ** 2
+    return vand, (l1 + l2) * (l1 + l3) * (l2 + l3), l1 * l2 * l3
+
+
 def random_density(rng: np.random.Generator, rank: int = 3) -> np.ndarray:
     """Random density matrix assembled directly from Gaussian vectors
     (independent of the library's samplers)."""

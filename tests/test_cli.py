@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -451,6 +452,19 @@ def test_density_domain_error_is_validation_error(invoke):
     assert "Bures" in err
 
 
+@pytest.mark.parametrize("which", ["hs", "bures"])
+@pytest.mark.parametrize("slot", [0, 2, 5])  # r, a zeta, a theta
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_density_rejects_non_finite_polar_point(invoke, which, slot, value):
+    at = ["0.3", "0.1", "0.2", "0.4", "0", "0", "0", "0"]
+    at[slot] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning before the error
+        code, out, err = invoke(["density", f"--which={which}", f"--at={','.join(at)}"])
+    assert code == 2 and out == ""
+    assert err == "error: non-finite polar point\n"
+
+
 # --- plumbing ---------------------------------------------------------------------
 
 
@@ -469,6 +483,16 @@ def test_missing_input_file(invoke):
     code, _, err = invoke(["check", "--in", "/nonexistent/state.json"])
     assert code == 2
     assert err.strip()
+
+
+def test_directory_as_input_or_output_is_an_input_error(tmp_path, invoke):
+    src = tmp_path / "in.json"
+    src.write_text(_HALF_STATE)
+    for argv in (["check", "--in", str(tmp_path)],
+                 ["check", "--in", str(src), "--out", str(tmp_path)]):
+        code, out, err = invoke(argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_usage_error_exits_2(capsys):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_eigvals
+from conftest import oracle_eigvals, oracle_spectral_parts
 from qutrit_bloch import ensembles
 from qutrit_bloch.weyl import weyl_op
 from qutrit_bloch.errors import (
@@ -257,6 +257,36 @@ def _polar_angles(n):
     return to_polar(p).zeta
 
 
+def test_chart_densities_at_small_radius_match_the_spectrum(rng):
+    """Down to r = 1e-3 the radial form agrees with the spectral oracle to
+    1e-10 relative; a density built from det rho loses six digits there."""
+    from qutrit_bloch.bloch import PolarParams, bloch_coefficients, from_polar
+
+    for _ in range(300):
+        r = float(rng.uniform(1e-3, 0.1))
+        zeta = (float(rng.uniform(0, math.pi)), float(rng.uniform(0, math.pi)),
+                float(rng.uniform(0, 2 * math.pi)))
+        theta = tuple(rng.uniform(0, 2 * math.pi, 4).tolist())
+        coeffs = bloch_coefficients(from_polar(PolarParams(r, zeta), theta))
+        traceless = sum(b * weyl_op(*key) for key, b in coeffs.items() if key != (0, 0)) / 3.0
+        vand, pairs, prod = oracle_spectral_parts(traceless)
+        hs = vand / r**3
+        bures = hs / (pairs * math.sqrt(prod))
+        got = (ensembles.hs_density_bloch(r, zeta, theta),
+               ensembles.bures_density_bloch(r, zeta, theta))
+        assert got == pytest.approx((hs, bures), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("slot", range(8))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_chart_densities_reject_non_finite_input(slot, value):
+    at = [0.3, 0.1, 0.2, 0.4, 0.0, 0.0, 0.0, 0.0]
+    at[slot] = value
+    for density in (ensembles.hs_density_bloch, ensembles.bures_density_bloch):
+        with pytest.raises(ValueError, match="non-finite"):
+            density(at[0], at[1:4], at[4:8])
+
+
 def test_bures_density_bloch_positive_region():
     val = ensembles.bures_density_bloch(0.3, (0.7, 0.8, 0.9), (0.2, 0.3, 0.4, 0.5))
     assert val > 0.0
@@ -282,6 +312,8 @@ def test_density_origin_and_sphere_gates():
         ensembles.hs_density_bloch(0.0, (0.0, 0.0, 0.0), (0.0,) * 4)
     with pytest.raises(OutsideSphere):
         ensembles.hs_density_bloch(1.2, (0.0, 0.0, 0.0), (0.0,) * 4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ensembles.bures_density_bloch(-0.3, (0.1, 0.2, 0.3), (0.0,) * 4)
 
 
 def test_qubit_densities():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_eigvals, random_density
+from conftest import oracle_eigvals, oracle_spectral_parts, random_density
 from qutrit_bloch import gellmann, matcore
 from qutrit_bloch.errors import DegenerateBures, NotAState, OriginSingularity
 
@@ -111,6 +111,35 @@ def test_bures_density_consistency(rng):
         want = vand / (g.r_g**7 * 9.0 * (l1 + l2) * (l1 + l3) * (l2 + l3) * math.sqrt(d))
         got = gellmann.bures_density_gm(g)
         assert abs(got - want) <= 1e-8 * max(abs(want), 1e-12)
+
+
+def test_densities_at_small_radius_match_the_spectrum(rng):
+    """Down to r = 1e-3 both densities agree with the spectral oracle to
+    1e-10 relative; a numerator built from det rho is wrong outright there."""
+    basis = np.array(gellmann.gm_basis())
+    for _ in range(300):
+        v = rng.standard_normal(8)
+        g = float(rng.uniform(1e-3, 0.1)) * v / np.linalg.norm(v)
+        vand, pairs, prod = oracle_spectral_parts(np.tensordot(g, basis, axes=1) / 3.0)
+        hs = vand / math.sqrt(g @ g) ** 7
+        bures = hs / (9.0 * pairs * math.sqrt(prod))
+        got = (gellmann.hs_density_gm(g), gellmann.bures_density_gm(g))
+        assert got == pytest.approx((hs, bures), rel=1e-10, abs=0.0)
+
+
+def test_angular_factor_is_the_weights_chart_one(rng):
+    """F read off the Gell-Mann direction, (sqrt(3)/2) Tr(A^3), equals the
+    weights chart's F from `a3_polar` for the same state."""
+    from qutrit_bloch.bloch import from_density, to_polar
+    from qutrit_bloch.positivity import a3_polar
+
+    for _ in range(200):
+        rho = random_density(rng)
+        p = from_density(rho)
+        pol = to_polar(p)
+        _value, f_weights = a3_polar(pol.r, pol.zeta, p.theta)
+        f_gm = gellmann._density_parts(gellmann.to_gm(rho))[3]
+        assert abs(f_gm - f_weights) <= 1e-14
 
 
 def test_density_gates():

@@ -104,14 +104,42 @@ def test_pair_diagnostics_on_computational_pair():
 
 
 def test_classify_pair_computational_basis():
-    kets = [_ket_params(np.eye(3)[k]) for k in range(3)]
+    kets = [np.array(_ket_params(np.eye(3)[k]).n) for k in range(3)]
     kinds = []
     for i in range(3):
         for j in range(i + 1, 3):
             kind, unsigned_same, _dev = geometry._classify_pair(kets[i], kets[j], 1e-8)
-            kinds.append(kind)
+            kinds.append(geometry._KINDS[kind])
             assert unsigned_same  # all three kets share |n| = (0,1,0,0)
     assert sorted(kinds) == ["antipodal", "antipodal", "same_point"]
+
+
+def _explore_per_ket(trials, seed, tol):
+    """Reference explorer: one basis at a time, one `from_density` per
+    ket, one pair at a time."""
+    from qutrit_bloch.ensembles import as_rng, haar_unitary
+
+    rng = as_rng(seed)
+    counts = {"same_point": 0, "antipodal": 0, "neither": 0}
+    same_weights = 0
+    worst = 0.0
+    for _ in range(trials):
+        u = haar_unitary(rng)
+        ns = [np.array(from_density(np.outer(u[:, k], u[:, k].conj())).n) for k in range(3)]
+        for i in range(3):
+            for j in range(i + 1, 3):
+                dev_same = float(np.max(np.abs(ns[i] - ns[j])))
+                dev_anti = float(np.max(np.abs(ns[i] + ns[j])))
+                dev_unsigned = float(np.max(np.abs(np.abs(ns[i]) - np.abs(ns[j]))))
+                if dev_same <= tol:
+                    counts["same_point"] += 1
+                elif dev_anti <= tol:
+                    counts["antipodal"] += 1
+                else:
+                    counts["neither"] += 1
+                same_weights += int(dev_unsigned <= tol)
+                worst = max(worst, min(dev_same, dev_anti, dev_unsigned))
+    return {"trials": trials, **counts, "same_weights": same_weights, "worst_deviation": worst}
 
 
 def test_explorer_counts_and_determinism():
@@ -124,6 +152,14 @@ def test_explorer_counts_and_determinism():
     assert out1["neither"] == 3 * 40
     assert out1["same_weights"] == 0
     assert out1["worst_deviation"] >= 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+@pytest.mark.parametrize("tol", [1e-8, 0.6, 1.0])
+def test_explorer_matches_per_ket_reference(seed, tol):
+    """The batched explorer returns the per-ket loop's dict exactly; the
+    loose tolerances make every kind of pair occur."""
+    assert geometry.conjecture1_explore(60, seed, tol) == _explore_per_ket(60, seed, tol)
 
 
 def test_explorer_rejects_bad_trials():
