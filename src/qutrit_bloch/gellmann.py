@@ -27,7 +27,7 @@ import numpy as np
 from . import matcore
 from .bloch import GATE_TOL
 from .ensembles import _bures_ratio, _radial_form
-from .errors import NotAState, OriginSingularity
+from .errors import NotAState, OriginSingularity, OutsideSphere
 
 __all__ = [
     "GmBloch",
@@ -94,14 +94,17 @@ def from_gm(g) -> np.ndarray:
 
 def _density_parts(g) -> tuple[float, float, float, float]:
     """(HS density, r, det rho, F) from the radial form; the state's
-    matrix is never built."""
+    matrix is never built.  Points beyond |g| = sqrt(3) are refused with
+    the weights chart's gate, s^2 <= 1 + 1e-9."""
     gb = g if isinstance(g, GmBloch) else GmBloch(tuple(g))
     r = gb.r_g
     if r == 0.0:
         raise OriginSingularity("radial density has a 1/r^7 prefactor")
+    s = r / math.sqrt(3.0)
+    if s * s > 1.0 + 1e-9:
+        raise OutsideSphere(f"|g| = {r:.6f} exceeds sqrt(3)")
     a = np.tensordot(np.array(gb.g) / r, _BASIS, axes=1)
     f = 0.5 * math.sqrt(3.0) * float(np.trace(a @ a @ a).real)
-    s = r / math.sqrt(3.0)
     hs, d = _radial_form(s, f)
     return hs * s ** 3 / r ** 7, r, d, f
 

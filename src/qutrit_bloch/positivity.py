@@ -23,6 +23,13 @@ bound that certifies the sign.  The bracket is invariant under the nine
 shifts theta += (2 pi / 3) * (a + b, 2a + b, a, b) with a, b in
 {0, 1, 2}, so a fundamental domain keeps two angles on [0, 2 pi/3) and -
 when cross terms survive - lets the rest run over the full circle.
+
+The largest a3 over the angles depends only on the sorted |n_i|: the
+bracket is unchanged by n_i -> -n_i with theta_i += pi, and each of the
+24 weight permutations is an angle map theta_i = +-phi_{p_i} + k_i 2 pi/3
+(`_ORBIT_MAPS`).  So the search runs once per distinct sort(|n|), and
+each row takes its key's angles through its permutation's map, plus pi
+where n_i < 0; its value is the bracket at its own weights and angles.
 """
 
 from __future__ import annotations
@@ -176,6 +183,33 @@ _MAX_GRID_POINTS = 1 << 24  # re-gridding stops before a row's grid passes this
 # a Newton step is tried whole, then - where that lowers the value - at
 # all its halvings at once, and the first that does not is taken
 _HALVINGS = (np.ones(1), 0.5 ** np.arange(1, _BACKTRACKS))
+
+# The 24 weight permutations as angle maps (the extended Clifford group
+# permutes the four MUB directions as S4).  An entry "p s k" says that
+# weights n_i = K[p_i] at angles theta_i = s_i phi[p_i] + k_i 2 pi / 3
+# give the bracket of weights K at angles phi.
+_ORBIT_MAPS = """
+    0123 ++++ 0000   0132 +-++ 0012   0213 -+++ 0011   0231 --++ 0020
+    0312 -+-+ 0001   0321 ++-+ 0020   1023 ++-+ 0010   1032 -+-+ 0002
+    1203 --++ 0002   1230 -+++ 0002   1302 +-++ 0010   1320 ++++ 0010
+    2013 +--+ 0001   2031 +++- 0022   2103 +++- 0000   2130 -++- 0000
+    2301 +--+ 0020   2310 +++- 0011   3012 +-++ 0011   3021 ++++ 0020
+    3102 -+-+ 0000   3120 ++-+ 0000   3201 -+++ 0020   3210 ++-- 0001
+"""
+
+
+def _orbit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """`_ORBIT_MAPS` as sign and shift arrays (4, 4, 4, 4, 4), indexed by
+    the permutation p and then by the angle."""
+    sign, shift = np.zeros((2,) + (4,) * 5)
+    for p, s, k in zip(*[iter(_ORBIT_MAPS.split())] * 3):
+        at = tuple(int(c) for c in p)
+        sign[at] = [1.0 if c == "+" else -1.0 for c in s]
+        shift[at] = [_TWO_THIRD_PI * int(c) for c in k]
+    return sign, shift
+
+
+_ORBIT_SIGN, _ORBIT_SHIFT = _orbit_tables()
 
 
 def _grid_axes(n: Sequence[float], grid_steps: int):
@@ -371,7 +405,7 @@ def _newton(base, coef, theta, free, keep, radius: float):
 
 def _search_block(n: np.ndarray, grid_steps: int, refine: bool, tol: float):
     """Certified search for rows that share one set of three or four
-    active weights; returns (27 a3 found, angles, settled)."""
+    active weights; returns (27 a3 found, angles, upper bound on 27 a3)."""
     base, coef = _wave_coefs(n)
     keep = np.flatnonzero(np.any(coef != 0.0, axis=0))
     curvature = np.abs(coef) @ _WAVE_CURVATURE
@@ -404,7 +438,7 @@ def _search_block(n: np.ndarray, grid_steps: int, refine: bool, tol: float):
         steps *= 2
         grid_points = np.prod([len(axes[i]) for i in free]) * 2 ** len(free)
         if not todo.size or grid_points > _MAX_GRID_POINTS:
-            return best, np.mod(theta, 2.0 * np.pi), settled
+            return best, np.mod(theta, 2.0 * np.pi), upper
 
 
 class ThetaSearch(NamedTuple):
@@ -435,18 +469,22 @@ def max_a3_batch(n, grid_steps: int = 8, refine: bool = True, tol: float = 1e-10
     (N, 4) array, with the maximizing angles and a certificate.
 
     * At most two active weights: `closed_form_max`, always certified.
-    * Three or four: the bracket on a fundamental-domain grid of
-      `grid_steps` steps per 2 pi / 3, for all rows with the same active
-      weights at once; then damped Newton from each row's best
+    * Three or four: one search per distinct key sort(|n|) (see
+      `_search_orbits`): the bracket on a fundamental-domain grid of
+      `grid_steps` steps per 2 pi / 3, for all keys with the same number
+      of active weights at once; then damped Newton from each key's best
       `_NEWTON_STARTS` grid points (skipped when refine is False).  The
-      value L returned is attained, so it is a lower bound.  The true
+      value L found is attained, so it is a lower bound.  The true
       maximum is at most U = grid max + H d (h/2)^2 / 2, with H the
       Hessian bound sum |c_k| |D_k|^2, d the active angles and h the
-      spacing.  A row is certified once L >= -27 tol or U < -27 tol (in
+      spacing.  A key is settled once L >= -27 tol or U < -27 tol (in
       bracket units); the others, and only those, are searched again on
       a grid of twice the steps, until the grid would exceed
       `_MAX_GRID_POINTS` points.  A batch whose first grid already
       exceeds it raises ValueError before any search.
+
+    The a3 returned for a row is re-evaluated at the row's own weights
+    and the angles returned for it, so it is exactly attained there.
     """
     n = np.asarray(n, dtype=float)
     if n.ndim != 2 or n.shape[1] != 4:
@@ -466,14 +504,40 @@ def max_a3_batch(n, grid_steps: int = 8, refine: bool = True, tol: float = 1e-10
     certified = np.ones(len(n), dtype=bool)
     few = np.sum(active, axis=1) <= 2
     a3[few], theta[few] = closed_form_max(n[few])
-    code = active @ (1, 2, 4, 8)
-    for mask in np.unique(code[~few]):
-        rows = np.flatnonzero(code == mask)
+    if not few.all():
+        a3[~few], theta[~few], certified[~few] = _search_orbits(n[~few], grid_steps, refine, tol)
+    return ThetaSearch(a3, theta, certified)
+
+
+def _search_orbits(n: np.ndarray, grid_steps: int, refine: bool, tol: float):
+    """`max_a3_batch` for rows with three or four active weights: one
+    `_search_block` per distinct key sort(|n|) (descending, compared
+    exactly), its angles carried to each row by `_ORBIT_SIGN` /
+    `_ORBIT_SHIFT` and theta_i += pi where n_i < 0.  Each row's value is
+    the bracket at its own weights and angles; it is certified when its
+    key is and that value keeps the key's verdict."""
+    m = np.abs(n)
+    order = np.argsort(-m, axis=1, kind="stable")
+    keys, inverse = np.unique(np.take_along_axis(m, order, axis=1), axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)  # its shape with `axis` varies across numpy 2.0.x
+    best, upper = np.empty(len(keys)), np.empty(len(keys))
+    phi = np.empty((len(keys), 4))
+    active = np.sum(keys > 0.0, axis=1)
+    for count in (3, 4):
+        rows = np.flatnonzero(active == count)
         for start in range(0, len(rows), _ROW_BLOCK):
             block = rows[start : start + _ROW_BLOCK]
-            value, theta[block], certified[block] = _search_block(n[block], grid_steps, refine, tol)
-            a3[block] = value / 27.0
-    return ThetaSearch(a3, theta, certified)
+            best[block], phi[block], upper[block] = _search_block(keys[block], grid_steps, refine, tol)
+    # sigma[i] is the key position of weight i: |n_i| = key[sigma[i]]
+    sigma = np.argsort(order, axis=1)
+    at = tuple(sigma.T)
+    theta = _ORBIT_SIGN[at] * np.take_along_axis(phi[inverse], sigma, axis=1) + _ORBIT_SHIFT[at]
+    theta = np.where(n < 0.0, theta + np.pi, theta)
+    theta = np.where(n == 0.0, 0.0, np.mod(theta, 2.0 * np.pi))
+    value = _wave_value(*_wave_coefs(n), theta)
+    floor = -27.0 * tol
+    certified = (upper[inverse] < floor) | ((best[inverse] >= floor) & (value >= floor))
+    return value / 27.0, theta, certified
 
 
 def max_a3_over_theta(n: Sequence[float], grid_steps: int = 8, refine: bool = True

@@ -239,12 +239,12 @@ def scan(spec: SectionSpec) -> tuple[list[str], SectionRaster]:
 
 def write_csv(header: Iterable[str], raster: SectionRaster, stream: IO[str]) -> None:
     """CSV with 17-significant-digit floats (lossless round trip), in one
-    write: each coordinate grid is formatted once and its cells picked
-    by index."""
-    cols = []
-    for grid, idx in raster.coords:
-        cells = np.array(["%.17g" % v for v in grid.tolist()], dtype=object)
-        cols.append(cells[idx].tolist())
-    cols.append(np.where(raster.feasible, "1", "0").tolist())
-    cols.append(["%.17g\n" % v for v in raster.a3_max.tolist()])
-    stream.write(",".join(header) + "\n" + "".join(map(",".join, zip(*cols))))
+    write and one `%` pass over a repeated row: each coordinate grid is
+    formatted once and its cells picked by index."""
+    table = np.empty((len(raster), len(raster.coords) + 2), dtype=object)
+    for j, (grid, idx) in enumerate(raster.coords):
+        table[:, j] = np.array(["%.17g" % v for v in grid.tolist()], dtype=object)[idx]
+    table[:, -2] = np.where(raster.feasible, "1", "0")
+    table[:, -1] = raster.a3_max
+    row = "%s," * (len(raster.coords) + 1) + "%.17g\n"
+    stream.write(",".join(header) + "\n" + (row * len(raster)) % tuple(table.ravel().tolist()))

@@ -452,6 +452,13 @@ def test_density_domain_error_is_validation_error(invoke):
     assert "Bures" in err
 
 
+@pytest.mark.parametrize("which", ["hs-gm", "bures-gm"])
+def test_density_outside_the_gell_mann_sphere_is_refused(invoke, which):
+    code, out, err = invoke(["density", f"--which={which}", "--at=2.5,0,0,0,0,0,0,0"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "sqrt(3)" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("which", ["hs", "bures"])
 @pytest.mark.parametrize("slot", [0, 2, 5])  # r, a zeta, a theta
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

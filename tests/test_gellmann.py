@@ -8,7 +8,7 @@ import pytest
 
 from conftest import oracle_eigvals, oracle_spectral_parts, random_density
 from qutrit_bloch import gellmann, matcore
-from qutrit_bloch.errors import DegenerateBures, NotAState, OriginSingularity
+from qutrit_bloch.errors import DegenerateBures, NotAState, OriginSingularity, OutsideSphere
 
 
 def test_basis_is_orthonormal_traceless_hermitian():
@@ -149,6 +149,25 @@ def test_density_gates():
         gellmann.bures_density_gm(gellmann.to_gm(e0))  # det = 0 exactly
     with pytest.raises(OriginSingularity):
         gellmann.hs_density_gm(gellmann.to_gm(np.eye(3, dtype=complex) / 3.0))
+
+
+def test_density_sphere_gate():
+    """Points beyond |g| = sqrt(3) are no states and are refused with the
+    weights chart's gate, (|g| / sqrt(3))^2 <= 1 + 1e-9."""
+    outside = (2.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    for density in (gellmann.hs_density_gm, gellmann.bures_density_gm):
+        with pytest.raises(OutsideSphere):
+            density(outside)
+    with pytest.raises(OutsideSphere):
+        gellmann.bures_density_gm(outside, signed=True)
+    edge = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0) * math.sqrt(3.0)
+    assert gellmann.hs_density_gm(tuple(edge * math.sqrt(1.0 + 0.9e-9))) >= 0.0
+    with pytest.raises(OutsideSphere):
+        gellmann.hs_density_gm(tuple(edge * math.sqrt(1.0 + 1.1e-9)))
+    e0 = np.zeros((3, 3), dtype=complex)
+    e0[0, 0] = 1.0
+    assert gellmann.to_gm(e0).r_g == pytest.approx(math.sqrt(3.0), abs=1e-15)
+    assert gellmann.hs_density_gm(gellmann.to_gm(e0)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_signed_bures_diagnostic():

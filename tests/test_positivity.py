@@ -2,6 +2,7 @@
 physicality predicates, the angle-maximization search, and rank
 classification - each checked against spectral oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -192,7 +193,7 @@ def test_batched_search_refuses_an_oversized_first_grid(monkeypatch):
 
     def fake_search(n, grid_steps, refine, tol):
         searched.append((int(np.sum(n[0] != 0.0)), grid_steps))
-        return np.zeros(len(n)), np.zeros((len(n), 4)), np.ones(len(n), dtype=bool)
+        return np.zeros(len(n)), np.zeros((len(n), 4)), np.full(len(n), np.inf)
 
     monkeypatch.setattr(positivity, "_search_block", fake_search)
     three, four, two = (0.3, 0.3, 0.3, 0.0), (0.2, 0.2, 0.2, 0.2), (0.3, 0.3, 0.0, 0.0)
@@ -371,6 +372,115 @@ def test_uncertified_point_raises_instead_of_answering():
     assert not found.certified[0] and found.a3[0] < -1e-4
     with pytest.raises(Uncertified, match="unproven"):
         positivity.is_point_physical(tuple(n))
+
+
+# --- the orbit symmetry -----------------------------------------------------
+
+
+def test_orbit_maps_reproduce_the_bracket():
+    """Each table entry carries angles phi at weights K to angles at the
+    permuted weights K[p] with the same bracket; so does n_i -> -n_i with
+    theta_i += pi.  The independent bracket is the oracle."""
+    rng = np.random.default_rng(2024)
+    keys = rng.uniform(-0.6, 0.6, (40, 4))
+    phi = rng.uniform(0.0, 2.0 * math.pi, (40, 4))
+    want = positivity._wave_value(*positivity._wave_coefs(keys), phi)
+    assert np.abs(_bracket_reference(keys.T, *phi.T) - want).max() < 1e-12
+    assert len(positivity._ORBIT_MAPS.split()) == 3 * 24
+    for p in itertools.permutations(range(4)):
+        sign, shift = positivity._ORBIT_SIGN[p], positivity._ORBIT_SHIFT[p]
+        assert set(np.abs(sign)) == {1.0}
+        theta = sign * phi[:, p] + shift
+        assert np.abs(_bracket_reference(keys[:, p].T, *theta.T) - want).max() < 1e-12, p
+    for flip in itertools.product((1.0, -1.0), repeat=4):
+        flip = np.array(flip)
+        theta = phi + np.where(flip < 0, math.pi, 0.0)
+        assert np.abs(_bracket_reference((flip * keys).T, *theta.T) - want).max() < 1e-12
+
+
+def _signed_permutations(n: np.ndarray) -> np.ndarray:
+    """The 384 rows s * n[p] over the 24 permutations and 16 sign patterns."""
+    return np.array([np.array(s) * n[list(p)] for p in itertools.permutations(range(4))
+                     for s in itertools.product((1.0, -1.0), repeat=4)])
+
+
+@pytest.mark.parametrize("active", [3, 4])
+def test_signed_permutations_share_value_and_certificate(active):
+    """All 384 signed permutations of a weight point get the same verdict
+    and the same a3 up to rounding, whether searched together or one
+    orbit at a time."""
+    rows = _seeded_weights(12)
+    if active == 3:
+        rows[:, 2] = 0.0
+    together = positivity.max_a3_batch(np.vstack([_signed_permutations(n) for n in rows]))
+    for i, n in enumerate(rows):
+        found = positivity.max_a3_batch(_signed_permutations(n))
+        for a3, certified in ((found.a3, found.certified),
+                              (together.a3[384 * i : 384 * (i + 1)],
+                               together.certified[384 * i : 384 * (i + 1)])):
+            assert np.ptp(a3) <= 1e-16
+            assert abs(a3[0] - found.a3[0]) <= 1e-16
+            assert np.all(certified == certified[0])
+            assert np.all(certified == found.certified[0])
+
+
+def test_returned_angles_attain_the_returned_value():
+    """Each searched row's a3 is the bracket at its own weights and the
+    angles returned, exactly; zero weights get angle 0 and every angle
+    lies in [0, 2 pi]."""
+    rng = np.random.default_rng(99)
+    n = _seeded_weights(300)
+    n[np.arange(100), np.arange(100) % 4] = 0.0  # three active weights
+    n[100:150, 2] = n[100:150, 0]  # tied magnitudes
+    n[150:200, 3] = -n[150:200, 1]
+    n[200:] *= rng.choice([-1.0, 1.0], (100, 4))
+    n = np.vstack([n] + _raster_weights(8))
+    found = positivity.max_a3_batch(n)
+    assert np.all(found.theta[n == 0.0] == 0.0)
+    assert np.all((found.theta >= 0.0) & (found.theta <= 2.0 * math.pi))
+    searched = np.sum(n != 0.0, axis=1) > 2
+    value = positivity._wave_value(*positivity._wave_coefs(n[searched]), found.theta[searched])
+    assert np.array_equal(value / 27.0, found.a3[searched])
+    attained = _bracket_reference(n.T, *found.theta.T) / 27.0
+    assert np.abs(attained - found.a3).max() <= 1e-16
+
+
+def test_each_orbit_is_searched_once(monkeypatch):
+    """Rows that are signed permutations of one another reach
+    `_search_block` as one key, sorted by magnitude and nonnegative."""
+    searched = []
+    search = positivity._search_block
+
+    def spy(n, grid_steps, refine, tol):
+        searched.append(n.copy())
+        return search(n, grid_steps, refine, tol)
+
+    monkeypatch.setattr(positivity, "_search_block", spy)
+    a, b = (0.2, -0.5, 0.3, 0.0), (0.1, 0.2, 0.3, 0.4)
+    positivity.max_a3_batch([a, (0.0, 0.3, 0.5, -0.2), b, (-0.4, 0.3, 0.1, -0.2), a])
+    assert [k.tolist() for k in searched] == [[[0.5, 0.3, 0.2, 0.0]], [[0.4, 0.3, 0.2, 0.1]]]
+
+
+def test_row_certificate_needs_its_own_value(monkeypatch):
+    """A row is certified when its key's upper bound is below the floor,
+    or when both the key's value and the row's own re-evaluated value
+    reach it."""
+    n = _seeded_weights(50)
+    base, coef = positivity._wave_coefs(n)
+    for key_best, key_upper in ((0.0, np.inf), (-1.0, -0.5), (-1.0, np.inf)):
+        with monkeypatch.context() as m:
+            m.setattr(positivity, "_search_block", lambda keys, *args: (
+                np.full(len(keys), key_best), np.zeros((len(keys), 4)),
+                np.full(len(keys), key_upper)))
+            found = positivity.max_a3_batch(n, tol=1e-10)
+        own = positivity._wave_value(base, coef, found.theta)
+        if key_upper < 0.0:
+            assert found.certified.all()
+        elif key_best < 0.0:
+            assert not found.certified.any()
+        else:
+            assert 0 < int(found.certified.sum()) < len(n)
+            assert np.array_equal(found.certified, own >= -27e-10)
 
 
 # --- the Newton kernel ----------------------------------------------------------

@@ -371,6 +371,42 @@ def test_maximize_csv_bytes_match_row_loop_reference(kind, axes, resolution):
     assert _csv(spec) == reference_csv(*reference_scan(spec))
 
 
+def test_three_axis_scan_searches_each_orbit_once(monkeypatch):
+    """The 160 in-ball rows of a resolution-8 three-axis raster fall into
+    40 distinct sorted |n| (linspace(-1, 1, 8) is not exactly symmetric
+    under sign), and only those reach `_search_block`."""
+    searched = []
+    search = positivity._search_block
+
+    def spy(n, grid_steps, refine, tol):
+        searched.append(len(n))
+        return search(n, grid_steps, refine, tol)
+
+    monkeypatch.setattr(positivity, "_search_block", spy)
+    spec = sections.SectionSpec(kind="three", axes=(1, 2, 3), resolution=8)
+    csv = _csv(spec)
+    assert searched == [40]
+    _header, raster = sections.scan(spec)
+    assert int(np.sum(~np.isnan(raster.a3_max))) == 160
+    assert csv == reference_csv(*reference_scan(spec))
+
+
+@pytest.mark.parametrize("kind,axes,theta", [
+    ("two", (4, 2), (0.7, 5.9)),
+    ("three", (2, 4, 1), (0.4, 2.2, 4.1)),
+])
+def test_fixed_csv_bytes_match_row_formatting(kind, axes, theta):
+    """`write_csv` writes each row as `format(v, ".17g")` cells and a 0/1
+    flag, out-of-ball rows as "0,nan", for a raster with both."""
+    spec = sections.SectionSpec(kind=kind, axes=axes, resolution=9, theta_policy="fixed",
+                                theta_values=theta)
+    header, raster = sections.scan(spec)
+    csv = _csv(spec)
+    assert csv == reference_csv(header, list(raster))
+    assert csv.count(",0,nan\n") == int(np.sum(np.isnan(raster.a3_max))) > 0
+    assert 0 < int(raster.feasible.sum()) < len(raster)
+
+
 _ANGLE_SHAPES = (
     [("one", (3,), 21, "grid", ()),
      ("one", (2,), 11, "fixed", (2.5,)),
