@@ -27,9 +27,10 @@ when cross terms survive - lets the rest run over the full circle.
 The largest a3 over the angles depends only on the sorted |n_i|: the
 bracket is unchanged by n_i -> -n_i with theta_i += pi, and each of the
 24 weight permutations is an angle map theta_i = +-phi_{p_i} + k_i 2 pi/3
-(`_ORBIT_MAPS`).  So the search runs once per distinct sort(|n|), and
-each row takes its key's angles through its permutation's map, plus pi
-where n_i < 0; its value is the bracket at its own weights and angles.
+(`_ORBIT_MAPS`).  So the search runs once per canonical key sort(|n|),
+keys that agree up to rounding sharing one search, and each row takes
+its key's angles through its permutation's map, plus pi where n_i < 0;
+its value is the bracket at its own weights and angles.
 """
 
 from __future__ import annotations
@@ -183,6 +184,15 @@ _MAX_GRID_POINTS = 1 << 24  # re-gridding stops before a row's grid passes this
 # a Newton step is tried whole, then - where that lowers the value - at
 # all its halvings at once, and the first that does not is taken
 _HALVINGS = (np.ones(1), 0.5 ** np.arange(1, _BACKTRACKS))
+# keys sort(|n|) that agree in every component once each mantissa is
+# rounded to this many bits share one search: a relative scale of 2^-44
+# (about 6e-14), far above the few ulps by which a linspace grid misses
+# sign symmetry and far below any spacing a raster resolves
+_KEY_BITS = 44
+# |dB/dn_i| <= 6 |n_i| + 6 n_i^2 + 6 sum |n_j n_l| <= 18 on the unit ball,
+# so on one angle the bracket of two keys differs by at most this times
+# their l1 distance: the slack a key's upper bound carries to a row
+_KEY_LIPSCHITZ = 18.0
 
 # The 24 weight permutations as angle maps (the extended Clifford group
 # permutes the four MUB directions as S4).  An entry "p s k" says that
@@ -469,7 +479,7 @@ def max_a3_batch(n, grid_steps: int = 8, refine: bool = True, tol: float = 1e-10
     (N, 4) array, with the maximizing angles and a certificate.
 
     * At most two active weights: `closed_form_max`, always certified.
-    * Three or four: one search per distinct key sort(|n|) (see
+    * Three or four: one search per canonical key sort(|n|) (see
       `_search_orbits`): the bracket on a fundamental-domain grid of
       `grid_steps` steps per 2 pi / 3, for all keys with the same number
       of active weights at once; then damped Newton from each key's best
@@ -509,17 +519,28 @@ def max_a3_batch(n, grid_steps: int = 8, refine: bool = True, tol: float = 1e-10
     return ThetaSearch(a3, theta, certified)
 
 
-def _search_orbits(n: np.ndarray, grid_steps: int, refine: bool, tol: float):
-    """`max_a3_batch` for rows with three or four active weights: one
-    `_search_block` per distinct key sort(|n|) (descending, compared
-    exactly), its angles carried to each row by `_ORBIT_SIGN` /
-    `_ORBIT_SHIFT` and theta_i += pi where n_i < 0.  Each row's value is
-    the bracket at its own weights and angles; it is certified when its
-    key is and that value keeps the key's verdict."""
-    m = np.abs(n)
-    order = np.argsort(-m, axis=1, kind="stable")
-    keys, inverse = np.unique(np.take_along_axis(m, order, axis=1), axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)  # its shape with `axis` varies across numpy 2.0.x
+def _key_groups(keys: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows of nonnegative keys (M, 4) whose components agree
+    once each mantissa is rounded to `bits` bits (52: compared exactly);
+    zero stays zero and no other value reaches it.  Returns the index of
+    each group's first row (G,), groups in lexicographic order, and each
+    row's group (M,)."""
+    code = keys.view(np.int64)  # monotone in a nonnegative float
+    drop = 52 - bits
+    if drop:
+        code = (code + (1 << (drop - 1))) >> drop
+    order = np.lexsort(code.T[::-1])
+    code = code[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(code[1:] != code[:-1], axis=1)
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = np.cumsum(first) - 1
+    return order[first], group
+
+
+def _search_keys(keys: np.ndarray, grid_steps: int, refine: bool, tol: float):
+    """`_search_block` on each sorted key (K, 4), in blocks that share a
+    number of active weights."""
     best, upper = np.empty(len(keys)), np.empty(len(keys))
     phi = np.empty((len(keys), 4))
     active = np.sum(keys > 0.0, axis=1)
@@ -528,16 +549,54 @@ def _search_orbits(n: np.ndarray, grid_steps: int, refine: bool, tol: float):
         for start in range(0, len(rows), _ROW_BLOCK):
             block = rows[start : start + _ROW_BLOCK]
             best[block], phi[block], upper[block] = _search_block(keys[block], grid_steps, refine, tol)
+    return best, phi, upper
+
+
+def _search_orbits(n: np.ndarray, grid_steps: int, refine: bool, tol: float):
+    """`max_a3_batch` for rows with three or four active weights.
+
+    Rows are grouped by their key sort(|n|) (descending), keys that agree
+    to `_KEY_BITS` bits in every component sharing a group, and
+    `_search_block` runs on one member's exact key per group.  Each row
+    takes those angles through `_ORBIT_SIGN` / `_ORBIT_SHIFT`, with
+    theta_i += pi where n_i < 0, and its value is the bracket at its own
+    weights and angles.  A row is certified when that value and its
+    group's best both reach the floor, or when the group's upper bound
+    plus `_KEY_LIPSCHITZ` times the l1 distance between the row's key and
+    the searched one stays below it (the searched key's own rows carry
+    no slack).  A row whose key differs from the searched one and whose
+    verdict stays open is searched again, once per distinct exact key,
+    and takes that search's angles, value and verdict."""
+    m = np.abs(n)
+    order = np.argsort(-m, axis=1, kind="stable")
+    keys = np.take_along_axis(m, order, axis=1)
     # sigma[i] is the key position of weight i: |n_i| = key[sigma[i]]
     sigma = np.argsort(order, axis=1)
-    at = tuple(sigma.T)
-    theta = _ORBIT_SIGN[at] * np.take_along_axis(phi[inverse], sigma, axis=1) + _ORBIT_SHIFT[at]
-    theta = np.where(n < 0.0, theta + np.pi, theta)
-    theta = np.where(n == 0.0, 0.0, np.mod(theta, 2.0 * np.pi))
-    value = _wave_value(*_wave_coefs(n), theta)
+    base, coef = _wave_coefs(n)
     floor = -27.0 * tol
-    certified = (upper[inverse] < floor) | ((best[inverse] >= floor) & (value >= floor))
-    return value / 27.0, theta, certified
+
+    def carry(rows: np.ndarray, bits: int):
+        first, group = _key_groups(keys[rows], bits)
+        searched = keys[rows[first]]
+        best, phi, upper = _search_keys(searched, grid_steps, refine, tol)
+        at = tuple(sigma[rows].T)
+        theta = (_ORBIT_SIGN[at] * np.take_along_axis(phi[group], sigma[rows], axis=1)
+                 + _ORBIT_SHIFT[at])
+        theta = np.where(n[rows] < 0.0, theta + np.pi, theta)
+        theta = np.where(n[rows] == 0.0, 0.0, np.mod(theta, 2.0 * np.pi))
+        slack = _KEY_LIPSCHITZ * np.sum(np.abs(keys[rows] - searched[group]), axis=1)
+        return theta, best[group], upper[group], slack
+
+    def certify(value):
+        return (upper + slack < floor) | ((best >= floor) & (value >= floor))
+
+    theta, best, upper, slack = carry(np.arange(len(n)), _KEY_BITS)
+    value = _wave_value(base, coef, theta)
+    redo = np.flatnonzero(~certify(value) & (slack > 0.0))
+    if redo.size:  # on exact keys (52 bits), so with no slack
+        theta[redo], best[redo], upper[redo], slack[redo] = carry(redo, 52)
+        value = _wave_value(base, coef, theta)
+    return value / 27.0, theta, certify(value)
 
 
 def max_a3_over_theta(n: Sequence[float], grid_steps: int = 8, refine: bool = True

@@ -24,7 +24,7 @@ over every in-ball point; `write_csv` formats it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -178,14 +178,21 @@ class SectionRaster:
 
     coords: one (grid values (R,), int index (N,)) pair per coordinate
     column, in header order; feasible: (N,) bools; a3_max: (N,) floats,
-    NaN outside the unit ball.  len() is the row count, and iterating or
-    indexing yields row tuples: the coordinates and a3_max as floats, the
-    flag as 0 or 1.
+    NaN outside the unit ball; certified: (N,) bools, the angle search's
+    certificate for "maximize" rows inside the ball and True elsewhere
+    (the default).  len() is the row count, and iterating or indexing
+    yields row tuples: the coordinates and a3_max as floats, the flag as
+    0 or 1.
     """
 
     coords: tuple[tuple[np.ndarray, np.ndarray], ...]
     feasible: np.ndarray
     a3_max: np.ndarray
+    certified: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.certified is None:
+            object.__setattr__(self, "certified", np.ones(len(self.feasible), dtype=bool))
 
     def __len__(self) -> int:
         return len(self.feasible)
@@ -221,10 +228,12 @@ def scan(spec: SectionSpec) -> tuple[list[str], SectionRaster]:
         weights[:, col] = g[i]
     inside = np.sum(weights * weights, axis=1) <= 1.0 + _BALL_SLACK
     a3 = np.full(len(weights), math.nan)
+    certified = np.ones(len(weights), dtype=bool)
     if spec.theta_policy == "maximize":  # over the section's own angles
         found = positivity.max_a3_batch(weights[inside], grid_steps=spec.grid_steps,
                                         refine=spec.refine, tol=_FEASIBLE_TOL / 6.0)
         a3[inside] = 6.0 * found.a3
+        certified[inside] = found.certified
     else:
         theta = np.zeros_like(weights)
         if spec.theta_policy == "grid":
@@ -234,17 +243,21 @@ def scan(spec: SectionSpec) -> tuple[list[str], SectionRaster]:
             theta[:, cols] = spec.theta_values
         bracket = positivity._wave_value(*positivity._wave_coefs(weights[inside]), theta[inside])
         a3[inside] = (2.0 / 9.0) * bracket
-    return header, SectionRaster(coords, a3 >= -_FEASIBLE_TOL, a3)
+    return header, SectionRaster(coords, a3 >= -_FEASIBLE_TOL, a3, certified)
 
 
 def write_csv(header: Iterable[str], raster: SectionRaster, stream: IO[str]) -> None:
-    """CSV with 17-significant-digit floats (lossless round trip), in one
-    write and one `%` pass over a repeated row: each coordinate grid is
-    formatted once and its cells picked by index."""
+    """CSV with 17-significant-digit floats (lossless round trip): one
+    object table of cells that carry their separators, joined and
+    written once.  Each coordinate grid is formatted once and its cells
+    picked by index; `a3_max` is formatted once per distinct float64 bit
+    pattern, so -0.0 and nan keep their own text."""
     table = np.empty((len(raster), len(raster.coords) + 2), dtype=object)
     for j, (grid, idx) in enumerate(raster.coords):
-        table[:, j] = np.array(["%.17g" % v for v in grid.tolist()], dtype=object)[idx]
-    table[:, -2] = np.where(raster.feasible, "1", "0")
-    table[:, -1] = raster.a3_max
-    row = "%s," * (len(raster.coords) + 1) + "%.17g\n"
-    stream.write(",".join(header) + "\n" + (row * len(raster)) % tuple(table.ravel().tolist()))
+        table[:, j] = np.array(["%.17g," % v for v in grid.tolist()], dtype=object)[idx]
+    table[:, -2] = np.array(["0,", "1,"], dtype=object)[raster.feasible.astype(np.intp)]
+    bits, cell = np.unique(np.asarray(raster.a3_max, dtype=np.float64).view(np.int64),
+                           return_inverse=True)
+    cells = ["%.17g\n" % v for v in bits.view(np.float64).tolist()]
+    table[:, -1] = np.array(cells, dtype=object)[cell]
+    stream.write(",".join(header) + "\n" + "".join(table.ravel().tolist()))

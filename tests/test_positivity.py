@@ -483,6 +483,101 @@ def test_row_certificate_needs_its_own_value(monkeypatch):
             assert np.array_equal(found.certified, own >= -27e-10)
 
 
+def _ulp_neighbours(key, rng, count: int = 60) -> np.ndarray:
+    """The key, then rows whose nonzero components each move by up to one
+    ulp (np.nextafter), under random signs and permutations.  The key's
+    nonzero entries are short binary fractions moved up by a quarter of
+    a rounding bucket at `_KEY_BITS` bits: every row shares the key's
+    bucket, and the bucket's rounded value is no row's key."""
+    key = np.asarray(key, dtype=float)
+    quarter = 1 << (52 - positivity._KEY_BITS - 2)
+    key = np.where(key == 0.0, 0.0, (key.view(np.int64) + quarter).view(np.float64))
+    rows = [key]
+    for _ in range(count):
+        step = rng.choice([-np.inf, 0.0, np.inf], 4)
+        moved = np.where(step == 0.0, key, np.nextafter(key, step))
+        moved = np.where(key == 0.0, 0.0, moved)
+        rows.append(rng.choice([-1.0, 1.0], 4) * moved[rng.permutation(4)])
+    return np.array(rows)
+
+
+_BINARY_KEYS = ((0.625, 0.4375, 0.3125, 0.1875), (0.6875, 0.5, 0.25, 0.0))
+
+
+def _exact_keys(n: np.ndarray) -> set:
+    return {tuple(k) for k in -np.sort(-np.abs(n), axis=1)}
+
+
+def test_ulp_neighbours_of_a_key_are_searched_once(monkeypatch):
+    """Rows whose sorted |n| differ from a key by an ulp per component,
+    under signs and permutations, reach `_search_block` as one key: the
+    exact sorted |n| of one of the rows.  Each row's a3 is still the
+    bracket at its own weights and angles."""
+    rng = np.random.default_rng(314)
+    searched = []
+    search = positivity._search_block
+
+    def spy(n, grid_steps, refine, tol):
+        searched.append(n.copy())
+        return search(n, grid_steps, refine, tol)
+
+    monkeypatch.setattr(positivity, "_search_block", spy)
+    groups = [_ulp_neighbours(key, rng) for key in _BINARY_KEYS]
+    n = np.vstack(groups)
+    assert all(len(_exact_keys(rows)) > 20 for rows in groups)
+    found = positivity.max_a3_batch(n)
+    assert [len(keys) for keys in searched] == [1, 1]
+    for keys, rows in zip(searched, groups[::-1]):  # three active weights first
+        assert tuple(keys[0]) in _exact_keys(rows)
+    value = positivity._wave_value(*positivity._wave_coefs(n), found.theta)
+    assert np.array_equal(value / 27.0, found.a3)
+    assert found.certified.all()
+    for rows, a3 in zip(groups, np.split(found.a3, 2)):
+        alone = positivity.max_a3_batch(rows[:1]).a3[0]
+        assert np.abs(a3 - alone).max() <= 1e-16
+
+
+def test_bracket_is_lipschitz_in_the_weights():
+    """|B(n, t) - B(m, t)| <= `_KEY_LIPSCHITZ` |n - m|_1 on seeded pairs in
+    the unit ball, far apart and close together, with the independent
+    bracket as the oracle."""
+    rng = np.random.default_rng(2718)
+    d = rng.standard_normal((2, 20000, 4))
+    n, m = d / np.linalg.norm(d, axis=2, keepdims=True) * rng.uniform(0.0, 1.0, (2, 20000, 1))
+    near = np.arange(10000)
+    m[near] = n[near] + rng.uniform(-1e-6, 1e-6, (10000, 4))
+    m[near] /= np.maximum(1.0, np.linalg.norm(m[near], axis=1, keepdims=True))
+    t = rng.uniform(0.0, 2.0 * math.pi, (20000, 4))
+    gap = np.abs(_bracket_reference(n.T, *t.T) - _bracket_reference(m.T, *t.T))
+    ratio = gap / np.sum(np.abs(n - m), axis=1)
+    assert ratio.max() <= positivity._KEY_LIPSCHITZ
+    assert ratio.max() > positivity._KEY_LIPSCHITZ / 3.0  # the bound is not idle
+
+
+def test_carried_bound_sends_ulp_neighbours_to_the_fallback(monkeypatch):
+    """With a key's upper bound just below the floor, the rows of that
+    exact key are certified, and the ulp neighbours, whose slack lifts
+    the bound past the floor, are searched again once per exact key."""
+    rng = np.random.default_rng(271)
+    n = _ulp_neighbours(_BINARY_KEYS[0], rng)
+    floor = -27e-10
+    searched = []
+
+    def fake_search(keys, *args):
+        searched.append(keys.copy())
+        return (np.full(len(keys), -1.0), np.zeros((len(keys), 4)),
+                np.full(len(keys), np.nextafter(floor, -np.inf)))
+
+    monkeypatch.setattr(positivity, "_search_block", fake_search)
+    found = positivity.max_a3_batch(n, tol=1e-10)
+    assert found.certified.all()
+    assert len(searched) == 2 and len(searched[0]) == 1
+    first = tuple(searched[0][0])
+    again = {tuple(k) for k in searched[1]}
+    assert len(again) == len(searched[1])
+    assert again == _exact_keys(n) - {first}
+
+
 # --- the Newton kernel ----------------------------------------------------------
 
 

@@ -373,8 +373,9 @@ def test_maximize_csv_bytes_match_row_loop_reference(kind, axes, resolution):
 
 def test_three_axis_scan_searches_each_orbit_once(monkeypatch):
     """The 160 in-ball rows of a resolution-8 three-axis raster fall into
-    40 distinct sorted |n| (linspace(-1, 1, 8) is not exactly symmetric
-    under sign), and only those reach `_search_block`."""
+    7 orbits of sorted |n|.  linspace(-1, 1, 8) is not exactly symmetric
+    under sign, so their exact keys are 40, but keys that agree up to
+    rounding share one search: only 7 keys reach `_search_block`."""
     searched = []
     search = positivity._search_block
 
@@ -385,7 +386,7 @@ def test_three_axis_scan_searches_each_orbit_once(monkeypatch):
     monkeypatch.setattr(positivity, "_search_block", spy)
     spec = sections.SectionSpec(kind="three", axes=(1, 2, 3), resolution=8)
     csv = _csv(spec)
-    assert searched == [40]
+    assert searched == [7]
     _header, raster = sections.scan(spec)
     assert int(np.sum(~np.isnan(raster.a3_max))) == 160
     assert csv == reference_csv(*reference_scan(spec))
@@ -405,6 +406,49 @@ def test_fixed_csv_bytes_match_row_formatting(kind, axes, theta):
     assert csv == reference_csv(header, list(raster))
     assert csv.count(",0,nan\n") == int(np.sum(np.isnan(raster.a3_max))) > 0
     assert 0 < int(raster.feasible.sum()) < len(raster)
+
+
+def test_write_csv_formats_each_cell_as_its_own_float():
+    """A hand-built raster with -0.0, 0.0, nan and repeated values: every
+    a3_max cell is `format(v, ".17g")` of its own value, so -0.0 keeps
+    its sign, and the coordinates and flags follow the row loop."""
+    a3 = np.array([-0.0, 0.0, math.nan, 0.1, -0.0, 0.1, 1e-300, math.nan, -2.5, 0.0])
+    grid = np.array([-0.0, 0.3, 1.0 / 3.0])
+    idx = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 0])
+    raster = sections.SectionRaster(((grid, idx), (grid[::-1], idx[::-1])), a3 >= 0.0, a3)
+    buf = io.StringIO()
+    sections.write_csv(["x", "y", "feasible", "a3_max"], raster, buf)
+    assert buf.getvalue() == reference_csv(["x", "y", "feasible", "a3_max"], list(raster))
+    cells = [line.split(",")[-1] for line in buf.getvalue().splitlines()[1:]]
+    assert cells == [format(v, ".17g") for v in a3.tolist()]
+    assert cells[:3] == ["-0", "0", "nan"]
+
+
+def test_raster_certified_flags(monkeypatch):
+    """`certified` keeps the search's flags on in-ball maximize rows and
+    is True outside the ball, under the fixed and grid policies, and by
+    default."""
+    search = positivity.max_a3_batch
+
+    def doubtful(n, **kwargs):
+        found = search(n, **kwargs)
+        return found._replace(certified=np.arange(len(n)) % 3 != 0)
+
+    monkeypatch.setattr(positivity, "max_a3_batch", doubtful)
+    _header, raster = sections.scan(sections.SectionSpec(kind="three", axes=(1, 2, 4),
+                                                         resolution=6))
+    inside = ~np.isnan(raster.a3_max)
+    assert np.array_equal(raster.certified[inside], np.arange(int(inside.sum())) % 3 != 0)
+    assert raster.certified[~inside].all() and (~inside).any()
+    for spec in (sections.SectionSpec(kind="two", axes=(1, 3), resolution=7,
+                                      theta_policy="fixed", theta_values=(0.2, 0.9)),
+                 sections.SectionSpec(kind="one", axes=(2,), resolution=7, theta_policy="grid")):
+        _header, raster = sections.scan(spec)
+        assert raster.certified.dtype == bool and raster.certified.shape == (len(raster),)
+        assert raster.certified.all()
+    bare = sections.SectionRaster(raster.coords, raster.feasible, raster.a3_max)
+    assert bare.certified.dtype == bool and bare.certified.all()
+    assert len(bare.certified) == len(bare)
 
 
 _ANGLE_SHAPES = (
