@@ -161,6 +161,9 @@ def _cmd_scan(args) -> int:
     buf = io.StringIO()
     sections.write_csv(header, raster, buf)
     _write_text(buf.getvalue(), args.output)
+    unproven = int(np.count_nonzero(~raster.certified))
+    if unproven:
+        print(f"warning: {unproven} of {len(raster)} rows have an unproven sign", file=sys.stderr)
     return 0
 
 

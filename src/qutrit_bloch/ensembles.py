@@ -68,17 +68,29 @@ def as_rng(seed_or_rng) -> np.random.Generator:
     return np.random.default_rng(seed_or_rng)
 
 
+def _ginibre(blocks: np.ndarray) -> np.ndarray:
+    """Ginibre matrices (..., d, d) from real standard normal blocks
+    (..., 2, d, d): the real and the imaginary part, over sqrt 2."""
+    return (blocks[..., 0, :, :] + 1j * blocks[..., 1, :, :]) / math.sqrt(2.0)
+
+
+def _haar(blocks: np.ndarray) -> np.ndarray:
+    """Haar unitaries (..., d, d) from real standard normal blocks
+    (..., 2, d, d): QR of their Ginibre matrices with the R-diagonal
+    phase fix."""
+    q, r = np.linalg.qr(_ginibre(blocks))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., np.newaxis, :]
+
+
 def ginibre(rng: np.random.Generator, dim: int = 3) -> np.ndarray:
     """Square matrix of independent standard complex Gaussians."""
-    blocks = rng.standard_normal((2, dim, dim))
-    return (blocks[0] + 1j * blocks[1]) / math.sqrt(2.0)
+    return _ginibre(rng.standard_normal((2, dim, dim)))
 
 
 def haar_unitary(rng: np.random.Generator, dim: int = 3) -> np.ndarray:
-    """QR of a Ginibre matrix with the R-diagonal phase fix."""
-    q, r = np.linalg.qr(ginibre(rng, dim))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    """One Haar-random unitary: `_haar` on one draw."""
+    return _haar(rng.standard_normal((2, dim, dim)))
 
 
 def sample_rhos(measure: str, count: int, seed_or_rng) -> np.ndarray:
@@ -90,15 +102,11 @@ def sample_rhos(measure: str, count: int, seed_or_rng) -> np.ndarray:
     rng = as_rng(seed_or_rng)
     n_blocks = 2 if measure == "hs" else 4
     blocks = rng.standard_normal((count, n_blocks, 3, 3))
-    g = (blocks[:, 0] + 1j * blocks[:, 1]) / math.sqrt(2.0)
+    g = _ginibre(blocks[:, :2])
     if measure == "hs":
         w = g @ g.conj().transpose(0, 2, 1)
     else:
-        a = (blocks[:, 2] + 1j * blocks[:, 3]) / math.sqrt(2.0)
-        q, r = np.linalg.qr(a)
-        d = np.diagonal(r, axis1=1, axis2=2)
-        u = q * (d / np.abs(d))[:, np.newaxis, :]
-        m = (np.eye(3) + u) @ g
+        m = (np.eye(3) + _haar(blocks[:, 2:])) @ g
         w = m @ m.conj().transpose(0, 2, 1)
     traces = np.trace(w, axis1=1, axis2=2).real
     return w / traces[:, np.newaxis, np.newaxis]

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .bloch import BlochParams, purity
-from .ensembles import as_rng, haar_unitary
+from .ensembles import _haar, as_rng
 from .errors import NotPhysical, NotPure
 from .mub import _chart
 from .positivity import is_physical
@@ -114,13 +114,14 @@ def conjecture1_explore(trials: int, seed, tol: float = 1e-8) -> dict:
     Counts are over ket pairs (three per basis).  `same_weights`
     additionally counts pairs whose unsigned weights agree - the
     invariant the closed MUB constructions realize.  Observational
-    only: no judgment is made.  The bases are drawn in order, then all
-    3 * trials ket projectors are charted in one batch.
+    only: no judgment is made.  All bases come from one draw, the same
+    stream as one `haar_unitary` per basis, and all 3 * trials ket
+    projectors are charted in one batch.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = as_rng(seed)
-    kets = np.array([haar_unitary(rng).T for _ in range(trials)]).reshape(-1, 3)
+    kets = _haar(rng.standard_normal((trials, 2, 3, 3))).transpose(0, 2, 1).reshape(-1, 3)
     n = np.array([p.n for _ket, p in _chart(kets)]).reshape(trials, 3, 4)
     kind, unsigned_same, dev = _classify_pair(n[:, [0, 0, 1]], n[:, [1, 2, 2]], tol)
     counts = np.bincount(kind.ravel(), minlength=len(_KINDS))

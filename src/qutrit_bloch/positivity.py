@@ -223,19 +223,19 @@ _ORBIT_SIGN, _ORBIT_SHIFT = _orbit_tables()
 
 
 def _grid_axes(n: Sequence[float], grid_steps: int):
-    """Angle grids forming a fundamental domain of the shift symmetry.
+    """Angle grids forming a fundamental domain of the shift symmetry,
+    for weights with three or four active entries.
 
-    Zero-weight angles are pinned to 0.  With at most two active
-    weights every surviving term has period 2 pi / 3 in each angle; with
-    three or four, the cross terms tie angles together and the domain
-    keeps the first one (respectively two) of the active angles on the
-    full circle while the rest stay on [0, 2 pi / 3).
+    Zero-weight angles are pinned to 0.  The cross terms tie the active
+    angles together, so the domain keeps the first one (three active
+    weights) or two (four) of them on the full circle while the rest
+    stay on [0, 2 pi / 3).
     """
     free = [i for i in range(4) if abs(n[i]) > _ACTIVE_WEIGHT]
     step = _TWO_THIRD_PI / grid_steps
     reduced = np.arange(grid_steps) * step
     full = np.arange(3 * grid_steps) * step
-    n_full = 0 if len(free) <= 2 else (1 if len(free) == 3 else 2)
+    n_full = len(free) - 2
     axes: list[np.ndarray | float] = [0.0, 0.0, 0.0, 0.0]
     for rank, i in enumerate(free):
         axes[i] = full if rank < n_full else reduced
@@ -315,38 +315,6 @@ def _grid_top(base, coef, free, axes, steps: int, count: int):
     return best_val, theta
 
 
-# a symmetric 3x3 matrix packed as six columns: the (row, column) of
-# each, and the packed column of each matrix entry
-_SYM3 = ((0, 1, 2, 0, 0, 1), (0, 1, 2, 1, 2, 2))
-_SYM3_FULL = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
-
-
-def _sym3_top_eigenvalue(h: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of symmetric 3x3 matrices packed as `_SYM3`
-    columns (M, 6), by the trigonometric formula: with q the mean of the
-    diagonal and p^2 = |A - q|_F^2 / 6, the eigenvalues are
-    q + 2 p cos(acos(det(A - q) / 2 p^3) / 3 + 2 pi k / 3), and k = 0
-    gives the largest.  Where the top two eigenvalues coincide the
-    arccos halves the digits: about 1e-8 p of error there."""
-    a, b, c, d, e, f = h.T
-    q = (a + b + c) / 3.0
-    a, b, c = a - q, b - q, c - q
-    p = np.sqrt((a * a + b * b + c * c + 2.0 * (d * d + e * e + f * f)) / 6.0)
-    det = a * (b * c - f * f) - d * (d * c - e * f) + e * (d * f - b * e)
-    r = det / np.maximum(2.0 * p ** 3, np.finfo(float).tiny)
-    return q + 2.0 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0)
-
-
-def _sym3_solve(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """x (M, 3) with A x = g for the symmetric 3x3 matrices A packed as
-    `_SYM3` columns (M, 6), by the adjugate: x = adj(A) g / det A."""
-    a, b, c, d, e, f = h.T
-    adj = np.stack([b * c - f * f, a * c - e * e, a * b - d * d,
-                    e * f - c * d, d * f - b * e, d * e - a * f], axis=1)
-    det = a * adj[:, 0] + d * adj[:, 3] + e * adj[:, 4]
-    return np.einsum("mij,mj->mi", adj[:, _SYM3_FULL], g) / det[:, None]
-
-
 def _newton(base, coef, theta, free, keep, radius: float):
     """Damped Newton ascent of the bracket in the free angles, one start
     per row of theta.  The Hessian is shifted until negative definite,
@@ -358,14 +326,12 @@ def _newton(base, coef, theta, free, keep, radius: float):
     Only the waves `keep` (those with nonzero amplitudes: 4 for three
     active weights, 8 for four) and the free angles enter; each
     iterate's wave angles and cosines are computed once, when its value
-    is.  Three free angles take the shifted step in closed form
-    (`_sym3_top_eigenvalue`, `_sym3_solve`), four through LAPACK."""
+    is.  The shift and the step come from LAPACK (`eigvalsh`, `solve`)."""
     margin = 1e-6 * (np.abs(coef) @ _WAVE_CURVATURE) + 1e-300
     coef = coef[:, keep]
     d = _WAVE_D[np.ix_(keep, free)]
     phase = _WAVE_PHASE[keep]
-    three = len(free) == 3
-    i, j = _SYM3 if three else np.divmod(np.arange(len(free) ** 2), len(free))
+    i, j = np.divmod(np.arange(len(free) ** 2), len(free))
     dd = d[:, i] * d[:, j]  # Hessian entries: -(c cos(waves)) @ dd
     x = theta[:, free]
     waves = x @ d.T + phase
@@ -375,16 +341,10 @@ def _newton(base, coef, theta, free, keep, radius: float):
     for _ in range(_NEWTON_ITERS):
         c = coef[alive]
         neg_grad = (c * np.sin(waves[alive])) @ d
-        hess = -(c * cos[alive]) @ dd
-        if three:
-            shift = np.maximum(_sym3_top_eigenvalue(hess) + margin[alive], 0.0)
-            hess[:, :3] -= shift[:, None]
-            step = _sym3_solve(hess, neg_grad)
-        else:
-            hess = hess.reshape(-1, len(free), len(free))
-            shift = np.maximum(np.linalg.eigvalsh(hess)[:, -1] + margin[alive], 0.0)
-            hess -= shift[:, None, None] * np.eye(len(free))
-            step = np.linalg.solve(hess, neg_grad[:, :, None])[:, :, 0]
+        hess = (-(c * cos[alive]) @ dd).reshape(-1, len(free), len(free))
+        shift = np.maximum(np.linalg.eigvalsh(hess)[:, -1] + margin[alive], 0.0)
+        hess -= shift[:, None, None] * np.eye(len(free))
+        step = np.linalg.solve(hess, neg_grad[:, :, None])[:, :, 0]
         step *= np.minimum(1.0, radius / np.maximum(np.abs(step).max(axis=1), 1e-300))[:, None]
         rose = np.zeros(len(alive), dtype=bool)
         pending = np.arange(len(alive))
@@ -499,6 +459,8 @@ def max_a3_batch(n, grid_steps: int = 8, refine: bool = True, tol: float = 1e-10
     n = np.asarray(n, dtype=float)
     if n.ndim != 2 or n.shape[1] != 4:
         raise ValueError(f"weight points must have shape (N, 4), got {n.shape}")
+    if not np.isfinite(n).all():
+        raise ValueError("weight points must be finite")
     if grid_steps < 1:
         raise ValueError("grid_steps must be at least 1")
     active = np.abs(n) > _ACTIVE_WEIGHT

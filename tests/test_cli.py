@@ -159,6 +159,25 @@ def test_scan_refuses_an_oversized_angle_grid_before_searching(invoke, monkeypat
     assert code == 0 and len(out.splitlines()) == 26
 
 
+def test_scan_reports_uncertified_rows_on_stderr(invoke, monkeypatch):
+    """A row whose sign the angle search leaves unproven is counted on
+    stderr; stdout and the exit code are those of a certified scan."""
+    argv = ["scan", "--kind=three", "--axes=1,2,3", "--resolution=4"]
+    code, clean, err = invoke(argv)
+    assert code == 0 and err == ""
+    search = positivity.max_a3_batch
+
+    def one_unproven(*args, **kwargs):
+        found = search(*args, **kwargs)
+        found.certified[0] = False
+        return found
+
+    monkeypatch.setattr(positivity, "max_a3_batch", one_unproven)
+    code, out, err = invoke(argv)
+    assert code == 0 and out == clean
+    assert err == f"warning: 1 of {4 ** 3} rows have an unproven sign\n"
+
+
 def test_threads_flag_is_gone(invoke):
     for argv in (["scan", "--kind", "one", "--axes", "1", "--threads", "2"],
                  ["sample", "--ensemble", "hs", "--threads", "2"]):

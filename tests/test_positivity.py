@@ -183,6 +183,14 @@ def test_batched_search_rejects_bad_input():
         positivity.max_a3_batch([(0.3, 0.3, 0.3)])
     with pytest.raises(ValueError):
         positivity.max_a3_batch([(0.3, 0.3, 0.3, 0.0)], grid_steps=0)
+    # a non-finite weight is refused, not zeroed as an inactive one
+    for bad in ((np.nan, 0.5, 0.5, 0.0), (np.nan, 0.0, 0.0, 0.0), (np.inf, 0.1, 0.2, 0.3)):
+        with pytest.raises(ValueError):
+            positivity.max_a3_batch([(0.3, 0.3, 0.3, 0.0), bad])
+        with pytest.raises(ValueError):
+            positivity.max_a3_over_theta(bad)
+    with pytest.raises(ValueError):
+        positivity.is_point_physical((np.nan, 0.5, 0.5, 0.0))
 
 
 def test_batched_search_refuses_an_oversized_first_grid(monkeypatch):
@@ -579,65 +587,6 @@ def test_carried_bound_sends_ulp_neighbours_to_the_fallback(monkeypatch):
 
 
 # --- the Newton kernel ----------------------------------------------------------
-
-
-def _pack(a: np.ndarray) -> np.ndarray:
-    return a[:, positivity._SYM3[0], positivity._SYM3[1]]
-
-
-def _symmetric_stacks(rng):
-    """Named (M, 3, 3) symmetric stacks for the closed-form top eigenvalue."""
-    q = np.linalg.qr(rng.standard_normal((200, 3, 3)))[0]
-
-    def rotated(eigs):
-        return np.einsum("mij,mj,mkj->mik", q, eigs, q)
-
-    raw = rng.standard_normal((200, 3, 3)) * 10.0 ** rng.uniform(-6, 6, (200, 1, 1))
-    lam = rng.standard_normal((200, 1)) * 10.0 ** rng.uniform(-3, 3, (200, 1))
-    gap = np.abs(rng.standard_normal((200, 1))) + 0.1
-    ones = np.ones((200, 1))
-    return {
-        "random": raw + np.swapaxes(raw, 1, 2),
-        "diagonal": np.einsum("mi,ij->mij", rng.standard_normal((200, 3)), np.eye(3)),
-        "scalar": np.einsum("m,ij->mij", lam[:, 0], np.eye(3)),
-        "repeated low": rotated(np.hstack([lam - gap, lam - gap, lam])),
-        "repeated top": rotated(np.hstack([lam - gap, lam, lam])),
-        "near singular": rotated(np.hstack([ones, 1e-12 * ones, -ones])),
-    }
-
-
-def test_closed_form_top_eigenvalue_matches_lapack(rng):
-    """Within a few ulps of the largest |eigenvalue|, plus the arccos's
-    loss near a double top eigenvalue: spread^2 / gap ulps, and at most
-    sqrt(ulp) * spread where the top two coincide."""
-    eps = np.finfo(float).eps
-    for name, a in _symmetric_stacks(rng).items():
-        got = positivity._sym3_top_eigenvalue(_pack(a))
-        eigs = np.linalg.eigvalsh(a)
-        spread, gap = eigs[:, -1] - eigs[:, 0], eigs[:, -1] - eigs[:, -2]
-        conditioning = spread * np.minimum(spread / np.maximum(gap, 1e-300), eps ** -0.5)
-        bound = 64.0 * eps * (np.abs(eigs).max(axis=1) + conditioning)
-        assert np.all(np.abs(got - eigs[:, -1]) <= bound), name
-
-
-def test_closed_form_solve_matches_lapack(rng):
-    q = np.linalg.qr(rng.standard_normal((300, 3, 3)))[0]
-    raw = rng.standard_normal((300, 3, 3))
-    spectra = {
-        "random": raw + np.swapaxes(raw, 1, 2) + 6.0 * np.eye(3),
-        "diagonal": np.einsum("mi,ij->mij", rng.uniform(0.5, 2.0, (300, 3)), np.eye(3)),
-        "repeated": np.einsum("mij,mj,mkj->mik", q, np.repeat([[-2.0, -2.0, -0.5]], 300, 0), q),
-        # condition numbers up to 1e10, as a tiny shift leaves them
-        "near singular": np.einsum("mij,mj,mkj->mik", q, -np.column_stack(
-            [np.ones(300), np.full(300, 0.3), 10.0 ** rng.uniform(-10, -4, 300)]), q),
-    }
-    g = rng.standard_normal((300, 3))
-    for name, a in spectra.items():
-        got = positivity._sym3_solve(_pack(a), g)
-        want = np.linalg.solve(a, g[:, :, None])[:, :, 0]
-        cond = np.linalg.cond(a)
-        err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
-        assert np.all(err <= 1e-14 * cond), name
 
 
 def _frozen_wave_slopes(coef, theta, free):
