@@ -187,6 +187,29 @@ def test_haar_unitary_properties():
     assert np.array_equal(u, v)
 
 
+def test_batched_haar_matches_one_unitary_per_draw():
+    """One (N, 2, 3, 3) draw through the batched kernel gives, bit for
+    bit, the unitaries of N successive `haar_unitary` calls."""
+    batch = ensembles._haar(ensembles.as_rng(5).standard_normal((300, 2, 3, 3)))
+    rng = ensembles.as_rng(5)
+    assert np.array_equal(batch, np.array([ensembles.haar_unitary(rng) for _ in range(300)]))
+    eye = np.broadcast_to(np.eye(3), batch.shape)
+    assert np.max(np.abs(batch @ batch.conj().transpose(0, 2, 1) - eye)) < 1e-12
+
+
+def test_bures_draws_match_the_inline_kernel():
+    """Bures draws equal, bit for bit, the Ginibre-plus-QR kernel written
+    out in full: (1 + U) G normalised, U Haar with the phase fix."""
+    blocks = ensembles.as_rng(31).standard_normal((200, 4, 3, 3))
+    g = (blocks[:, 0] + 1j * blocks[:, 1]) / math.sqrt(2.0)
+    q, r = np.linalg.qr((blocks[:, 2] + 1j * blocks[:, 3]) / math.sqrt(2.0))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    m = (np.eye(3) + q * (d / np.abs(d))[:, np.newaxis, :]) @ g
+    w = m @ m.conj().transpose(0, 2, 1)
+    want = w / np.trace(w, axis1=1, axis2=2).real[:, np.newaxis, np.newaxis]
+    assert np.array_equal(ensembles.sample_rhos("bures", 200, 31), want)
+
+
 def test_rng_passthrough():
     rng = ensembles.as_rng(11)
     assert ensembles.as_rng(rng) is rng
