@@ -175,6 +175,8 @@ def _cmd_mub(args) -> int:
 
 def _cmd_unital(args) -> int:
     if args.action == "vertices":
+        if args.lam is not None or args.phi is not None:
+            raise QutritBlochError("unital vertices takes no --lam or --phi")
         _emit_json(
             {
                 "vertices": [list(v) for v in unital.polytope_vertices()],
@@ -333,25 +335,31 @@ _SUBCOMMANDS = (
 )
 
 
+def _subparser(build=True, **kwargs) -> argparse.ArgumentParser | None:
+    """parser_class of the subcommand action: no parser when not `build`."""
+    return argparse.ArgumentParser(**kwargs) if build else None
+
+
 def build_parser(commands=None) -> argparse.ArgumentParser:
     """The CLI's argument parser.
 
     Every subcommand is listed (in usage, --help and the invalid-choice
-    error), but only those named in `commands` get their arguments and
-    -h; None means all.  argparse dispatches only on an argv token equal
-    to a subcommand's name, so `build_parser(argv)` parses `argv` exactly
-    as the full parser does, and skips most of its build cost.
+    error), but only those named in `commands` get a parser; None means
+    all.  The others map to None: argparse reads a subcommand's map entry
+    only when an argv token equals its name, so `build_parser(argv)`
+    parses `argv` exactly as the full parser does, and skips most of its
+    build cost.
     """
     top = argparse.ArgumentParser(
         prog="qutrit-bloch",
         description="Four-dimensional Bloch-sphere toolkit for qutrits",
     )
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="command", required=True, parser_class=_subparser)
     for name, help_text, add_arguments in _SUBCOMMANDS:
         if commands is None or name in commands:
             add_arguments(sub.add_parser(name, help=help_text))
         else:
-            sub.add_parser(name, help=help_text, add_help=False)
+            sub.add_parser(name, help=help_text, build=False)
     return top
 
 

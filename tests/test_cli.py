@@ -1,6 +1,7 @@
 """Command-line front end: subcommand outputs, exit codes, determinism,
 and self-consistency of emitted documents."""
 
+import argparse
 import io
 import json
 import math
@@ -248,6 +249,13 @@ def test_unital_vertices(invoke):
     assert doc["vertices"][0] == [1.0, 1.0, 1.0, 1.0]
     assert len(doc["vertices"]) == 5
     assert len(doc["edge_lengths"]) == 10
+
+
+@pytest.mark.parametrize("flag", ["--lam=nan", "--phi=0,0,0,0", "--lam="])
+def test_unital_vertices_refuses_lam_and_phi(invoke, flag):
+    code, out, err = invoke(["unital", "vertices", flag])
+    assert code == 2 and out == ""
+    assert err == "error: unital vertices takes no --lam or --phi\n"
 
 
 @pytest.mark.parametrize("action", ["check", "choi"])
@@ -580,6 +588,14 @@ _MIXED = [
     (["scan", "mub"], ""),
     (["mub", "--delta=1", "--gamma=2", "check"], ""),
     (["state", "to-bloch", "--in", "mub"], ""),
+    # errors and help that come from inside a named subparser
+    (["unital"], ""),
+    (["state", "sideways"], ""),
+    (["check", "--tol"], _PHYSICAL),
+    (["check", "stray"], _PHYSICAL),
+    (["sample", "--ensemble=hs", "--count=x"], ""),
+    (["density", "-h"], ""),
+    (["unital", "check", "--help"], ""),
 ]
 
 
@@ -626,6 +642,28 @@ def test_run_fills_in_only_the_subcommands_its_argv_names(monkeypatch):
     filled.clear()
     cli.build_parser()
     assert filled == [name for name, _, _ in cli._SUBCOMMANDS]
+
+
+def test_run_builds_a_parser_only_for_the_subcommands_its_argv_names(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv, stdin_text, expect in (
+        (["check"], _PHYSICAL, 2),
+        (["--help"], "", 1),
+        (["mub", "--delta=1", "--gamma=2", "check"], "", 3),
+    ):
+        built.clear()
+        _call(argv, stdin_text)
+        assert len(built) == expect, (argv, built)
+    built.clear()
+    cli.build_parser()
+    assert len(built) == 1 + len(cli._SUBCOMMANDS) == 8
 
 
 @pytest.mark.skipif(
