@@ -35,6 +35,7 @@ its value is the bracket at its own weights and angles.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -378,7 +379,12 @@ def _search_block(n: np.ndarray, grid_steps: int, refine: bool, tol: float):
     active weights; returns (27 a3 found, angles, upper bound on 27 a3)."""
     base, coef = _wave_coefs(n)
     keep = np.flatnonzero(np.any(coef != 0.0, axis=0))
-    curvature = np.abs(coef) @ _WAVE_CURVATURE
+    # the bracket's second-order term at an offset delta of the free
+    # angles is at most sum_k |c_k| (D_k . delta)^2 / 2, convex in delta,
+    # so on the box |delta_i| <= h/2 it peaks at a corner: box (h/2)^2 / 2
+    free = _grid_axes(n[0], grid_steps)[0]
+    corners = np.array(list(itertools.product((1.0, -1.0), repeat=len(free))))
+    box = np.max(np.abs(coef) @ (_WAVE_D[:, free] @ corners.T) ** 2, axis=1)
     floor = -27.0 * tol
     best = np.full(len(n), -np.inf)
     theta = np.zeros((len(n), 4))
@@ -390,8 +396,8 @@ def _search_block(n: np.ndarray, grid_steps: int, refine: bool, tol: float):
         vals, starts = _grid_top(base[todo], coef[todo], free, axes, steps, _NEWTON_STARTS)
         # the gradient vanishes at the true maximum and some grid point
         # lies within h/2 of it in every angle, so the grid misses it by
-        # at most curvature/2 * |offset|^2
-        gap = 0.5 * curvature[todo] * len(free) * (h / 2.0) ** 2
+        # at most the second-order term's peak on that box
+        gap = 0.5 * box[todo] * (h / 2.0) ** 2
         upper[todo] = np.minimum(upper[todo], vals[:, 0] + gap)
         if refine:
             k = vals.shape[1]
@@ -428,10 +434,23 @@ def closed_form_max(n) -> tuple[np.ndarray, np.ndarray]:
 
     at t_i = 0 where n_i > 0 and pi / 3 where n_i < 0."""
     n = np.asarray(n, dtype=float).reshape(-1, 4)
+    if not np.isfinite(n).all():
+        raise ValueError("weight points must be finite")
     if np.any(np.sum(np.abs(n) > _ACTIVE_WEIGHT, axis=1) > 2):
         raise ValueError("the closed form needs at most two nonzero weights")
-    a3 = (1.0 - 3.0 * np.sum(n * n, axis=1) + 2.0 * np.sum(np.abs(n) ** 3, axis=1)) / 27.0
-    return a3, np.where(n < -_ACTIVE_WEIGHT, np.pi / 3.0, 0.0)
+    return _closed_form(n, np.flatnonzero(np.any(n != 0.0, axis=0)))
+
+
+def _closed_form(n: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`closed_form_max` on the weight columns `cols`; every other column
+    must be zero.  The sums run column by column in ascending order, the
+    order of numpy's row sum, and the zeros they skip change no bit."""
+    r2 = s3 = np.zeros(len(n))
+    for i in cols:
+        w = n[:, i]
+        r2 = r2 + w * w
+        s3 = s3 + np.abs(w) ** 3
+    return (1.0 - 3.0 * r2 + 2.0 * s3) / 27.0, np.where(n < -_ACTIVE_WEIGHT, np.pi / 3.0, 0.0)
 
 
 def max_a3_batch(n, grid_steps: int = 8, refine: bool = True, tol: float = 1e-10) -> ThetaSearch:
@@ -445,11 +464,13 @@ def max_a3_batch(n, grid_steps: int = 8, refine: bool = True, tol: float = 1e-10
       of active weights at once; then damped Newton from each key's best
       `_NEWTON_STARTS` grid points (skipped when refine is False).  The
       value L found is attained, so it is a lower bound.  The true
-      maximum is at most U = grid max + H d (h/2)^2 / 2, with H the
-      Hessian bound sum |c_k| |D_k|^2, d the active angles and h the
-      spacing.  A key is settled once L >= -27 tol or U < -27 tol (in
-      bracket units); the others, and only those, are searched again on
-      a grid of twice the steps, until the grid would exceed
+      maximum is at most U = grid max + (h/2)^2 / 2 max_s sum_k |c_k|
+      (D_k . s)^2, with c_k and D_k the amplitudes and angle vectors of
+      the bracket's waves (`_wave_table`) on the active angles, s over
+      the sign patterns {+-1}^d of those angles and h the spacing.  A
+      key is settled once L >= -27 tol or U < -27 tol (in bracket
+      units); the others, and only those, are searched again on a grid
+      of twice the steps, until the grid would exceed
       `_MAX_GRID_POINTS` points.  A batch whose first grid already
       exceeds it raises ValueError before any search.
 
@@ -464,20 +485,24 @@ def max_a3_batch(n, grid_steps: int = 8, refine: bool = True, tol: float = 1e-10
     if grid_steps < 1:
         raise ValueError("grid_steps must be at least 1")
     active = np.abs(n) > _ACTIVE_WEIGHT
+    count = np.count_nonzero(active, axis=1)
     # the first grid of `_grid_axes`: 3 g^3 points for three active
     # weights, 9 g^4 for four
-    most = int(np.sum(active, axis=1).max(initial=0))
+    most = int(count.max(initial=0))
     if most > 2 and 3 ** (most - 2) * int(grid_steps) ** most > _MAX_GRID_POINTS:
         raise ValueError(f"grid_steps {grid_steps} gives a first angle grid above "
                          f"{_MAX_GRID_POINTS} points for {most} active weights")
     n = np.where(active, n, 0.0)
+    cols = np.flatnonzero(np.any(active, axis=0))
+    certified = np.ones(len(n), dtype=bool)
+    if most <= 2:
+        return ThetaSearch(*_closed_form(n, cols), certified)
     a3 = np.empty(len(n))
     theta = np.zeros((len(n), 4))
-    certified = np.ones(len(n), dtype=bool)
-    few = np.sum(active, axis=1) <= 2
-    a3[few], theta[few] = closed_form_max(n[few])
-    if not few.all():
-        a3[~few], theta[~few], certified[~few] = _search_orbits(n[~few], grid_steps, refine, tol)
+    few = count <= 2
+    if few.any():
+        a3[few], theta[few] = _closed_form(n[few], cols)
+    a3[~few], theta[~few], certified[~few] = _search_orbits(n[~few], grid_steps, refine, tol)
     return ThetaSearch(a3, theta, certified)
 
 

@@ -60,8 +60,14 @@ THREE_SECTION_AXES = {
 }
 
 
+def _require_finite(*values: float) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"section coordinates must be finite, got {values!r}")
+
+
 def one_section_a3(n: float, theta: float) -> float:
     """Section value with a single nonzero weight."""
+    _require_finite(n, theta)
     if abs(n) > 1.0 + _BALL_SLACK:
         raise OutsideSphere(f"|n| = {abs(n):.6f} exceeds 1")
     return (2.0 / 9.0) * (1.0 - 3.0 * n * n + 2.0 * n ** 3 * math.cos(3.0 * theta))
@@ -73,6 +79,7 @@ def one_section_window(n: float) -> list[tuple[float, float]]:
     The whole range for |n| <= 1/2; otherwise intervals of half-width
     zeta = arccos(-1/(2|n|)) - 2 pi / 3 around the cube-term optima.
     """
+    _require_finite(n)
     if abs(n) > 1.0 + _BALL_SLACK:
         raise OutsideSphere(f"|n| = {abs(n):.6f} exceeds 1")
     if abs(n) <= 0.5:
@@ -86,6 +93,7 @@ def one_section_window(n: float) -> list[tuple[float, float]]:
 
 def two_section_a3(ni: float, nj: float, thetai: float, thetaj: float) -> float:
     """Section value with two nonzero weights (cross terms all vanish)."""
+    _require_finite(ni, nj, thetai, thetaj)
     if ni * ni + nj * nj > 1.0 + _BALL_SLACK:
         raise OutsideSphere(f"ni^2 + nj^2 = {ni * ni + nj * nj:.6f} exceeds 1")
     return (2.0 / 9.0) * (
@@ -99,6 +107,7 @@ def two_section_a3(ni: float, nj: float, thetai: float, thetaj: float) -> float:
 def two_section_point_ok(ni: float, nj: float) -> bool:
     """Feasibility of a two-axis weight point: the angle maximum of the
     section (`positivity.closed_form_max`) must be nonnegative."""
+    _require_finite(ni, nj)
     if ni * ni + nj * nj > 1.0 + _BALL_SLACK:
         raise OutsideSphere(f"ni^2 + nj^2 = {ni * ni + nj * nj:.6f} exceeds 1")
     a3, _theta = positivity.closed_form_max((ni, nj, 0.0, 0.0))
@@ -114,6 +123,7 @@ def three_section_a3(which: int, n: Sequence[float], theta: Sequence[float]) -> 
     theta = tuple(float(t) for t in theta)
     if len(n) != 3 or len(theta) != 3:
         raise ValueError("three-section takes three weights and three angles")
+    _require_finite(*n, *theta)
     if sum(v * v for v in n) > 1.0 + _BALL_SLACK:
         raise OutsideSphere("weight point outside the unit sphere")
     _axes, sign, tsign, phase = _THREE_SECTION_TERMS[which]
@@ -223,14 +233,19 @@ def scan(spec: SectionSpec) -> tuple[list[str], SectionRaster]:
     coords = tuple(zip(grids, np.indices((res,) * len(grids)).reshape(len(grids), -1)))
 
     cols = [a - 1 for a in spec.axes]
-    weights = np.zeros((res ** len(grids), 4))
+    # |n|^2 column by column in ascending weight order, the order of
+    # numpy's row sum over zero-padded (N, 4) weights, so the same bits
+    r2 = 0.0
+    for _col, (g, i) in sorted(zip(cols, coords), key=lambda pair: pair[0]):
+        r2 = r2 + (g * g)[i]
+    inside = np.flatnonzero(r2 <= 1.0 + _BALL_SLACK)
+    weights = np.zeros((len(inside), 4))
     for col, (g, i) in zip(cols, coords):
-        weights[:, col] = g[i]
-    inside = np.sum(weights * weights, axis=1) <= 1.0 + _BALL_SLACK
-    a3 = np.full(len(weights), math.nan)
-    certified = np.ones(len(weights), dtype=bool)
+        weights[:, col] = g[i[inside]]
+    a3 = np.full(len(r2), math.nan)
+    certified = np.ones(len(r2), dtype=bool)
     if spec.theta_policy == "maximize":  # over the section's own angles
-        found = positivity.max_a3_batch(weights[inside], grid_steps=spec.grid_steps,
+        found = positivity.max_a3_batch(weights, grid_steps=spec.grid_steps,
                                         refine=spec.refine, tol=_FEASIBLE_TOL / 6.0)
         a3[inside] = 6.0 * found.a3
         certified[inside] = found.certified
@@ -238,11 +253,10 @@ def scan(spec: SectionSpec) -> tuple[list[str], SectionRaster]:
         theta = np.zeros_like(weights)
         if spec.theta_policy == "grid":
             g, i = coords[-1]
-            theta[:, cols[0]] = g[i]
+            theta[:, cols[0]] = g[i[inside]]
         else:
             theta[:, cols] = spec.theta_values
-        bracket = positivity._wave_value(*positivity._wave_coefs(weights[inside]), theta[inside])
-        a3[inside] = (2.0 / 9.0) * bracket
+        a3[inside] = (2.0 / 9.0) * positivity._wave_value(*positivity._wave_coefs(weights), theta)
     return header, SectionRaster(coords, a3 >= -_FEASIBLE_TOL, a3, certified)
 
 

@@ -193,6 +193,17 @@ def test_batched_search_rejects_bad_input():
         positivity.is_point_physical((np.nan, 0.5, 0.5, 0.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_closed_form_rejects_non_finite_weights(bad):
+    """A non-finite weight in any slot raises, as in `max_a3_batch`,
+    instead of giving a3 = NaN."""
+    for slot in range(4):
+        row = [0.3, 0.0, 0.0, 0.0] if slot else [0.0, 0.3, 0.0, 0.0]
+        row[slot] = bad
+        with pytest.raises(ValueError, match="finite"):
+            positivity.closed_form_max([(0.5, 0.0, 0.0, 0.0), row])
+
+
 def test_batched_search_refuses_an_oversized_first_grid(monkeypatch):
     """The first grid holds 3 g^3 points for three active weights and
     9 g^4 for four; a batch that needs more than 2^24 is refused before
@@ -270,6 +281,58 @@ def _reference_max_a3(n, grid_steps: int = 48) -> float:
 def _closed_form_reference(n) -> float:
     n = np.asarray(n, dtype=float)
     return float(1.0 - 3.0 * n @ n + 2.0 * np.sum(np.abs(n) ** 3)) / 27.0
+
+
+def _frozen_closed_form(n):
+    """The closed form as sums along each row of all four weights, as it
+    was before it summed weight columns, frozen as the oracle."""
+    a3 = (1.0 - 3.0 * np.sum(n * n, axis=1) + 2.0 * np.sum(np.abs(n) ** 3, axis=1)) / 27.0
+    return a3, np.where(n < -1e-14, np.pi / 3.0, 0.0)
+
+
+def _closed_form_batches():
+    """In-ball rows of every one-axis raster and ordered two-axis raster
+    at resolution 101; seeded rows with at most two active weights,
+    signed zeros and weights at and just above the activity threshold;
+    a mixed batch that also holds three and four active weights; and an
+    empty batch."""
+    grid = np.linspace(-1.0, 1.0, 101)
+    for axes in [(i,) for i in range(4)] + list(itertools.permutations(range(4), 2)):
+        mesh = np.meshgrid(*[grid] * len(axes), indexing="ij")
+        n = np.zeros((101 ** len(axes), 4))
+        n[:, list(axes)] = np.stack([m.ravel() for m in mesh], axis=-1)
+        yield n[np.sum(n * n, axis=1) <= 1.0 + 1e-12]
+    rng = np.random.default_rng(1414)
+    edge = (0.0, -0.0, 5e-15, 1e-14, np.nextafter(1e-14, 1.0), 0.5, 0.7, 1.0)
+    vals = rng.choice(edge, (3000, 2)) * rng.choice([-1.0, 1.0], (3000, 2))
+    vals[2000:] = rng.uniform(-0.7, 0.7, (1000, 2))
+    n = np.zeros((3000, 4))
+    np.put_along_axis(n, np.argsort(rng.random((3000, 4)), axis=1)[:, :2], vals, axis=1)
+    # inactive entries in the other two slots: signed zeros and tiny weights
+    n[:1000] = np.where(n[:1000] == 0.0, rng.choice([0.0, -0.0, 1e-15, -3e-15], (1000, 4)),
+                        n[:1000])
+    yield n
+    mixed = _seeded_weights(30)
+    mixed[10:20, 1] = 0.0
+    yield np.vstack([mixed, n[::10]])[rng.permutation(330)]
+    yield np.zeros((0, 4))
+
+
+def test_closed_form_rows_match_the_frozen_row_form():
+    """Every row with at most two active weights gets the a3 and angles
+    of the frozen row form bit for bit, alone or among searched rows.
+    `reference_scan` in tests/test_sections.py calls `max_a3_batch`
+    itself, so it cannot see a moved bit."""
+    for n in _closed_form_batches():
+        found = positivity.max_a3_batch(n)
+        few = np.sum(np.abs(n) > 1e-14, axis=1) <= 2
+        # the search zeroes inactive weights; `closed_form_max` takes them as given
+        want_a3, want_theta = _frozen_closed_form(np.where(np.abs(n) > 1e-14, n, 0.0)[few])
+        assert np.array_equal(found.a3[few], want_a3)
+        assert np.array_equal(found.theta[few], want_theta)
+        assert found.certified[few].all()
+        for got, want in zip(positivity.closed_form_max(n[few]), _frozen_closed_form(n[few])):
+            assert np.array_equal(got, want)
 
 
 def test_batched_search_matches_its_scalar_wrappers(rng):
@@ -371,13 +434,13 @@ def _seeded_weights(count: int = 4000) -> np.ndarray:
 
 
 def test_uncertified_point_raises_instead_of_answering():
-    """Row 3 of the seeded set is the first the search leaves open: its
-    best a3 is about -1.6e-4, but the curvature bound on the last grid
-    below 2^24 points still reaches above -tol, so no verdict is proven."""
-    n = _seeded_weights()[3]
-    assert np.allclose(n, (0.0710, -0.6264, -0.0197, 0.4681), atol=5e-5)
+    """Row 60 of the seeded set is the first the search leaves open: its
+    best a3 is about -8.8e-5, but the box gap on the last grid below
+    2^24 points still reaches above -tol, so no verdict is proven."""
+    n = _seeded_weights()[60]
+    assert np.allclose(n, (-0.4438, 0.7167, -0.0795, 0.0782), atol=5e-5)
     found = positivity.max_a3_batch([n])
-    assert not found.certified[0] and found.a3[0] < -1e-4
+    assert not found.certified[0] and found.a3[0] < -5e-5
     with pytest.raises(Uncertified, match="unproven"):
         positivity.is_point_physical(tuple(n))
 
@@ -560,6 +623,49 @@ def test_bracket_is_lipschitz_in_the_weights():
     ratio = gap / np.sum(np.abs(n - m), axis=1)
     assert ratio.max() <= positivity._KEY_LIPSCHITZ
     assert ratio.max() > positivity._KEY_LIPSCHITZ / 3.0  # the bound is not idle
+
+
+def _box_gap(n, steps: int) -> np.ndarray:
+    """The upper bound's slack over the grid value in `_search_block` on
+    its first grid of `steps` steps, for weight points n (R, 4) that
+    share their active weights: the upper bound when every grid value
+    reads 0."""
+    def flat_grid(base, coef, free, axes, steps, count):
+        return np.zeros((len(base), count)), np.zeros((len(base), count, 4))
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(positivity, "_grid_top", flat_grid)
+        m.setattr(positivity, "_MAX_GRID_POINTS", 0)  # stop after the first grid
+        return positivity._search_block(n, steps, False, 1e-10)[2]
+
+
+def test_box_gap_bounds_the_bracket_around_any_point():
+    """B(t + delta) + B(t - delta) >= 2 B(t) - 2 gap for every offset
+    |delta_i| <= h/2 of the active angles, the bound the grid certificate
+    rests on, on seeded rows and angles with the independent bracket as
+    the oracle.  The gap is below the earlier H d (h/2)^2 / 2 on every
+    row (at most half of it here)."""
+    rng = np.random.default_rng(1618)
+    for active, steps in ((3, 8), (4, 8), (4, 2)):
+        n = np.abs(_seeded_weights(200))
+        n[:, active:] = 0.0
+        h = 2.0 * math.pi / 3.0 / steps
+        gap = _box_gap(n, steps)
+        curvature = np.abs(positivity._wave_coefs(n)[1]) @ positivity._WAVE_CURVATURE
+        old = 0.5 * curvature * active * (h / 2.0) ** 2
+        assert np.all(gap <= 0.5 * old)
+        worst = np.zeros(len(n))
+        for _ in range(200):
+            t = rng.uniform(0.0, 2.0 * math.pi, (len(n), 4))
+            delta = h / 2.0 * rng.uniform(-1.0, 1.0, (len(n), 4))
+            corner = rng.random(len(n)) < 0.5
+            delta[corner] = h / 2.0 * np.sign(delta[corner])
+            delta[:, active:] = 0.0
+            curve = 2.0 * _bracket_reference(n.T, *t.T) - (
+                _bracket_reference(n.T, *(t + delta).T) + _bracket_reference(n.T, *(t - delta).T))
+            worst = np.maximum(worst, curve / 2.0)
+        assert np.all(worst <= gap * (1.0 + 1e-9) + 1e-14)
+        assert np.median(worst / gap) > 0.5  # the bound is not idle
 
 
 def test_carried_bound_sends_ulp_neighbours_to_the_fallback(monkeypatch):

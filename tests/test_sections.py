@@ -102,6 +102,27 @@ def test_sections_reject_outside_sphere():
         sections.one_section_window(-1.1)
 
 
+def _each_slot(values: tuple, bad: float):
+    """`values` with `bad` in one slot, for each slot in turn."""
+    for i in range(len(values)):
+        yield values[:i] + (bad,) + values[i + 1 :]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scalar_sections_reject_non_finite_input(bad):
+    """A non-finite weight or angle in any slot raises ValueError, rather
+    than a NaN value, NaN windows or a False verdict."""
+    calls = [(sections.one_section_window, (bad,))]
+    calls += [(sections.one_section_a3, args) for args in _each_slot((0.3, 0.2), bad)]
+    calls += [(sections.two_section_point_ok, args) for args in _each_slot((0.3, 0.2), bad)]
+    calls += [(sections.two_section_a3, args) for args in _each_slot((0.3, 0.2, 0.1, 0.4), bad)]
+    calls += [(lambda *a: sections.three_section_a3(1, a[:3], a[3:]), args)
+              for args in _each_slot((0.3, 0.2, 0.1, 0.4, 0.5, 0.6), bad)]
+    for fn, args in calls:
+        with pytest.raises(ValueError):
+            fn(*args)
+
+
 def test_section_evenness():
     """(n, theta) and (-n, theta - pi) describe the same section value."""
     for n, t in [(0.6, 0.4), (0.3, 2.0), (0.9, 1.0)]:
