@@ -32,7 +32,7 @@ from .positivity import (
     max_a3_over_theta,
     rank_classify,
 )
-from .weyl import commuting_classes, orthonormality_check, weyl_op, weyl_table
+from .weyl import commuting_classes, weyl_op, weyl_table
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "max_a3_over_theta",
     "rank_classify",
     "commuting_classes",
-    "orthonormality_check",
     "weyl_op",
     "weyl_table",
     "__version__",

@@ -148,6 +148,8 @@ class PolarParams:
     def __post_init__(self):
         object.__setattr__(self, "r", float(self.r))
         object.__setattr__(self, "zeta", tuple(float(z) for z in self.zeta))
+        if not all(math.isfinite(v) for v in (self.r, *self.zeta)):
+            raise ValueError("non-finite parameter")
         if self.r < 0:
             raise ValueError("radius must be nonnegative")
         if len(self.zeta) != 3:

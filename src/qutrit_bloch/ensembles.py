@@ -197,6 +197,8 @@ def _check_simplex(eigs: Sequence[float]) -> tuple[float, float, float]:
     lam = tuple(float(x) for x in eigs)
     if len(lam) != 3:
         raise ValueError("expected three eigenvalues")
+    if not all(math.isfinite(x) for x in lam):
+        raise ValueError(f"eigenvalues must be finite, got {lam!r}")
     if abs(sum(lam) - 1.0) > 1e-10:
         raise ValueError(f"eigenvalues must sum to 1, got {sum(lam)!r}")
     if min(lam) < -1e-12:

@@ -41,10 +41,6 @@ class NotPure(QutritBlochError):
     """State expected to be pure (unit purity) is mixed."""
 
 
-class BadSelector(QutritBlochError):
-    """Selector index out of range."""
-
-
 class OriginSingularity(QutritBlochError):
     """Density expression is singular at zero Bloch radius."""
 

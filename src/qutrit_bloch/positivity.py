@@ -53,7 +53,6 @@ __all__ = [
     "in_ball",
     "is_physical",
     "ThetaSearch",
-    "closed_form_max",
     "max_a3_batch",
     "max_a3_over_theta",
     "is_point_physical",
@@ -425,26 +424,17 @@ class ThetaSearch(NamedTuple):
     certified: np.ndarray  # (N,) True when the sign of a3 + tol is proven
 
 
-def closed_form_max(n) -> tuple[np.ndarray, np.ndarray]:
+def _closed_form(n: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Largest a3 over the angles, and angles attaining it, for weight
-    points (N, 4) with at most two nonzero weights.  No cross term
-    survives, so each cube term peaks on its own at cos 3t = sign(n):
+    points (N, 4) with at most two active weights, all in the columns
+    `cols` (every other column zero).  No cross term survives, so each
+    cube term peaks on its own at cos 3t = sign(n):
 
         27 max a3 = 1 - 3 |n|^2 + 2 sum |n_i|^3,
 
-    at t_i = 0 where n_i > 0 and pi / 3 where n_i < 0."""
-    n = np.asarray(n, dtype=float).reshape(-1, 4)
-    if not np.isfinite(n).all():
-        raise ValueError("weight points must be finite")
-    if np.any(np.sum(np.abs(n) > _ACTIVE_WEIGHT, axis=1) > 2):
-        raise ValueError("the closed form needs at most two nonzero weights")
-    return _closed_form(n, np.flatnonzero(np.any(n != 0.0, axis=0)))
-
-
-def _closed_form(n: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`closed_form_max` on the weight columns `cols`; every other column
-    must be zero.  The sums run column by column in ascending order, the
-    order of numpy's row sum, and the zeros they skip change no bit."""
+    at t_i = 0 where n_i > 0 and pi / 3 where n_i < 0.  The sums run
+    column by column in ascending order, the order of numpy's row sum,
+    and the zeros they skip change no bit."""
     r2 = s3 = np.zeros(len(n))
     for i in cols:
         w = n[:, i]
@@ -457,7 +447,8 @@ def max_a3_batch(n, grid_steps: int = 8, refine: bool = True, tol: float = 1e-10
     """Largest a3 = det rho over all angles, per weight point of an
     (N, 4) array, with the maximizing angles and a certificate.
 
-    * At most two active weights: `closed_form_max`, always certified.
+    * At most two active weights: the closed form (`_closed_form`),
+      always certified.
     * Three or four: one search per canonical key sort(|n|) (see
       `_search_orbits`): the bracket on a fundamental-domain grid of
       `grid_steps` steps per 2 pi / 3, for all keys with the same number

@@ -1,8 +1,9 @@
 """Origin-centered coordinate sections of the qutrit state body.
 
 Fixing all but one, two, or three of the four weights at zero cuts the
-feasible region with a coordinate subspace.  Every function here returns
-the section value on the 6 * a3 scale, i.e. (2/9) * (reduced bracket):
+feasible region with a coordinate subspace.  Section values are on the
+6 * a3 scale, i.e. (2/9) * (bracket), and every one is the bracket's
+wave form (`positivity._wave_value`) on zero-padded weights and angles:
 
     one:    (2/9) (1 - 3 n^2 + 2 n^3 cos 3t)         -- same on all axes
     two:    (2/9) (1 - 3 ni^2 - 3 nj^2
@@ -10,35 +11,32 @@ the section value on the 6 * a3 scale, i.e. (2/9) * (reduced bracket):
     three:  four distinct expressions, one per retained axis triple,
             differing in the sign and phase of the single cross term.
 
-The three-axis selectors, and the sign, angle signs and phase of each
-one's cross term, are read off the bracket's one table of cross terms,
+The three-axis selectors, and the sign and phase of each one's cross
+term, are read off the bracket's one table of cross terms,
 `positivity._CROSS_TERMS`: selectors 1-4 are its weight triples in
 sorted order.
 
 `scan` rasterizes a section into a columnar `SectionRaster`, either at
 fixed angles, on an (n, theta) grid (one-axis sections), or maximizing
 over the section's own angles with one `positivity.max_a3_batch` call
-over every in-ball point; `write_csv` formats it.
+over every in-ball point; `write_csv` formats it.  `one_section_window`
+gives the one-axis section's feasible angles in closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 import numpy as np
 
 from . import positivity
-from .errors import BadSelector, OutsideSphere
+from .errors import OutsideSphere
 
 __all__ = [
     "SectionSpec",
-    "one_section_a3",
     "one_section_window",
-    "two_section_a3",
-    "two_section_point_ok",
-    "three_section_a3",
     "THREE_SECTION_AXES",
     "SectionRaster",
     "scan",
@@ -48,29 +46,13 @@ __all__ = [
 _FEASIBLE_TOL = 1e-12
 _BALL_SLACK = 1e-12  # |n|^2 up to 1 + this counts as inside the unit ball
 
-# selector -> the bracket's cross term on the retained triple; sorted
-# triples drop axis 4, 3, 2, 1 in turn
-_THREE_SECTION_TERMS = dict(enumerate(sorted(positivity._CROSS_TERMS), start=1))
-
 # which retained-axis triple (1-based) each three-section selector means,
-# with the sign and phase of its cross term
+# with the sign and phase of its cross term: the bracket's cross terms in
+# sorted order, so selectors 1-4 drop axis 4, 3, 2, 1 in turn
 THREE_SECTION_AXES = {
     which: (tuple(i + 1 for i in axes), sign, phase)
-    for which, (axes, sign, _tsign, phase) in _THREE_SECTION_TERMS.items()
+    for which, (axes, sign, _tsign, phase) in enumerate(sorted(positivity._CROSS_TERMS), start=1)
 }
-
-
-def _require_finite(*values: float) -> None:
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"section coordinates must be finite, got {values!r}")
-
-
-def one_section_a3(n: float, theta: float) -> float:
-    """Section value with a single nonzero weight."""
-    _require_finite(n, theta)
-    if abs(n) > 1.0 + _BALL_SLACK:
-        raise OutsideSphere(f"|n| = {abs(n):.6f} exceeds 1")
-    return (2.0 / 9.0) * (1.0 - 3.0 * n * n + 2.0 * n ** 3 * math.cos(3.0 * theta))
 
 
 def one_section_window(n: float) -> list[tuple[float, float]]:
@@ -79,7 +61,8 @@ def one_section_window(n: float) -> list[tuple[float, float]]:
     The whole range for |n| <= 1/2; otherwise intervals of half-width
     zeta = arccos(-1/(2|n|)) - 2 pi / 3 around the cube-term optima.
     """
-    _require_finite(n)
+    if not math.isfinite(n):
+        raise ValueError(f"section weight must be finite, got {n!r}")
     if abs(n) > 1.0 + _BALL_SLACK:
         raise OutsideSphere(f"|n| = {abs(n):.6f} exceeds 1")
     if abs(n) <= 0.5:
@@ -89,48 +72,6 @@ def one_section_window(n: float) -> list[tuple[float, float]]:
     if n > 0:
         return [(0.0, zeta), (2.0 * third - zeta, 2.0 * third + zeta)]
     return [(third - zeta, third + zeta), (math.pi - zeta, math.pi)]
-
-
-def two_section_a3(ni: float, nj: float, thetai: float, thetaj: float) -> float:
-    """Section value with two nonzero weights (cross terms all vanish)."""
-    _require_finite(ni, nj, thetai, thetaj)
-    if ni * ni + nj * nj > 1.0 + _BALL_SLACK:
-        raise OutsideSphere(f"ni^2 + nj^2 = {ni * ni + nj * nj:.6f} exceeds 1")
-    return (2.0 / 9.0) * (
-        1.0
-        - 3.0 * (ni * ni + nj * nj)
-        + 2.0 * ni ** 3 * math.cos(3.0 * thetai)
-        + 2.0 * nj ** 3 * math.cos(3.0 * thetaj)
-    )
-
-
-def two_section_point_ok(ni: float, nj: float) -> bool:
-    """Feasibility of a two-axis weight point: the angle maximum of the
-    section (`positivity.closed_form_max`) must be nonnegative."""
-    _require_finite(ni, nj)
-    if ni * ni + nj * nj > 1.0 + _BALL_SLACK:
-        raise OutsideSphere(f"ni^2 + nj^2 = {ni * ni + nj * nj:.6f} exceeds 1")
-    a3, _theta = positivity.closed_form_max((ni, nj, 0.0, 0.0))
-    return 27.0 * float(a3[0]) >= -_FEASIBLE_TOL
-
-
-def three_section_a3(which: int, n: Sequence[float], theta: Sequence[float]) -> float:
-    """Section value on the selected three-axis subspace (selector 1-4,
-    ordered by the omitted axis: 4, 3, 2, 1 respectively)."""
-    if which not in THREE_SECTION_AXES:
-        raise BadSelector(f"three-section selector must be 1..4, got {which!r}")
-    n = tuple(float(v) for v in n)
-    theta = tuple(float(t) for t in theta)
-    if len(n) != 3 or len(theta) != 3:
-        raise ValueError("three-section takes three weights and three angles")
-    _require_finite(*n, *theta)
-    if sum(v * v for v in n) > 1.0 + _BALL_SLACK:
-        raise OutsideSphere("weight point outside the unit sphere")
-    _axes, sign, tsign, phase = _THREE_SECTION_TERMS[which]
-    cubes = sum(2.0 * v ** 3 * math.cos(3.0 * t) for v, t in zip(n, theta))
-    cross_angle = sum(s * t for s, t in zip(tsign, theta)) + phase
-    cross = 6.0 * sign * n[0] * n[1] * n[2] * math.cos(cross_angle)
-    return (2.0 / 9.0) * (1.0 - 3.0 * sum(v * v for v in n) + cubes + cross)
 
 
 # --- grid scans ----------------------------------------------------------

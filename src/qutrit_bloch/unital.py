@@ -147,6 +147,8 @@ def polytope_check(lam: Sequence[float], tol: float = 1e-12
     lam = np.asarray([float(v) for v in lam])
     if lam.shape != (4,):
         raise ValueError("lambda must have four entries")
+    if not np.isfinite(lam).all():
+        raise ValueError("non-finite channel parameter")
     slacks = 1.0 + _CONSTRAINTS @ lam
     return bool(np.all(slacks >= -tol)), tuple(float(s) for s in slacks)
 

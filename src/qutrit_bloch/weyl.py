@@ -21,7 +21,6 @@ from .errors import NotPrime
 __all__ = [
     "weyl_op",
     "weyl_table",
-    "orthonormality_check",
     "commuting_classes",
 ]
 
@@ -80,20 +79,6 @@ def weyl_op(p: int, q: int, d: int = 3) -> np.ndarray:
 def weyl_table(d: int = 3) -> dict[tuple[int, int], np.ndarray]:
     """All d^2 operators keyed by (p, q)."""
     return {(p, q): weyl_op(p, q, d) for p in range(d) for q in range(d)}
-
-
-def orthonormality_check(d: int = 3) -> float:
-    """Worst deviation of Tr(U_a^dag U_b) from d * delta_ab."""
-    ops = weyl_table(d)
-    keys = sorted(ops)
-    worst = 0.0
-    for a in keys:
-        ua = ops[a]
-        for b in keys:
-            t = np.trace(ua.conj().T @ ops[b])
-            target = d if a == b else 0.0
-            worst = max(worst, abs(t - target))
-    return worst
 
 
 def _is_prime(n: int) -> bool:

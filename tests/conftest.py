@@ -3,14 +3,16 @@
 Oracle policy: every library result checked here is compared against an
 independent route - LAPACK eigensolvers instead of closed-form spectra,
 power-trace moments for the library's own LAPACK wrapper,
-permutation-expansion determinants, explicit matrix assembly instead of
-chart arithmetic - so that implementation and reference never share
-code.
+permutation-expansion determinants, the determinant bracket written out
+term by term instead of the library's wave table, explicit matrix
+assembly instead of chart arithmetic - so that implementation and
+reference never share code.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -51,6 +53,22 @@ def oracle_det(m) -> complex:
             term *= a[i, perm[i]]
         total += term
     return total
+
+
+def oracle_bracket(n, t1, t2, t3, t4):
+    """27 * det(rho) written out independently of the library's table of
+    wave terms (broadcasts over weights and angles)."""
+    n1, n2, n3, n4 = n
+    return (
+        1.0
+        - 3.0 * (n1 * n1 + n2 * n2 + n3 * n3 + n4 * n4)
+        + 2.0 * (n1**3 * np.cos(3 * t1) + n2**3 * np.cos(3 * t2)
+                 + n3**3 * np.cos(3 * t3) + n4**3 * np.cos(3 * t4))
+        - 6.0 * n1 * n3 * n4 * np.cos(t1 - t3 - t4)
+        + 6.0 * n1 * n2 * n3 * np.cos(t1 - t2 + t3 - math.pi / 3.0)
+        + 6.0 * n2 * n3 * n4 * np.cos(t2 + t3 - t4 + math.pi / 3.0)
+        + 6.0 * n1 * n2 * n4 * np.cos(t1 + t2 + t4 + math.pi / 3.0)
+    )
 
 
 def oracle_spectral_parts(traceless) -> tuple[float, float, float]:

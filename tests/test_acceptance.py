@@ -123,7 +123,8 @@ def test_single_axis_feasible_angles_match_window_formula():
             windows = sections.one_section_window(n)
             endpoints = [e for w in windows for e in w]
             feasible = np.array(
-                [sections.one_section_a3(n, t) >= -1e-12 for t in thetas]
+                [(2.0 / 9.0) * (1.0 - 3.0 * n * n + 2.0 * n ** 3 * math.cos(3.0 * t)) >= -1e-12
+                 for t in thetas]
             )
             inside = np.zeros_like(feasible)
             for lo, hi in windows:

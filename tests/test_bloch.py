@@ -178,6 +178,16 @@ def test_polar_params_validate():
         PolarParams(-0.1, (0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_polar_params_reject_non_finite_entries(bad):
+    """A non-finite radius or polar angle raises, as in `BlochParams`."""
+    for slot in range(4):
+        vals = [0.5, 0.1, 0.2, 0.3]
+        vals[slot] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            PolarParams(vals[0], tuple(vals[1:]))
+
+
 # --- JSON documents ----------------------------------------------------------
 
 

@@ -255,6 +255,18 @@ def test_simplex_density_validation():
         ensembles.bures_density_simplex((0.5, 0.5, 0.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_simplex_densities_reject_non_finite_eigenvalues(bad):
+    """Every comparison with NaN is false, so the sum and sign gates alone
+    let (nan, 0.5, 0.5) through to a NaN density; each slot raises."""
+    for density in (ensembles.hs_density_simplex, ensembles.bures_density_simplex):
+        for slot in range(3):
+            lam = [0.5, 0.3, 0.2]
+            lam[slot] = bad
+            with pytest.raises(ValueError, match="finite"):
+                density(lam)
+
+
 # --- chart densities -----------------------------------------------------------
 
 

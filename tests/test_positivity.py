@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_eigvals, random_density, random_params
+from conftest import oracle_bracket, oracle_eigvals, random_density, random_params
 from qutrit_bloch import positivity
 from qutrit_bloch.bloch import BlochParams, from_density, to_density
 from qutrit_bloch.errors import NotPhysical, OutsideSphere, Uncertified
@@ -96,27 +96,12 @@ def test_is_physical_known_points():
 # --- angle maximization -----------------------------------------------------
 
 
-def _bracket_reference(n, t1, t2, t3, t4):
-    """27 * det(rho) written out independently (broadcasts over angles)."""
-    n1, n2, n3, n4 = n
-    return (
-        1.0
-        - 3.0 * (n1 * n1 + n2 * n2 + n3 * n3 + n4 * n4)
-        + 2.0 * (n1**3 * np.cos(3 * t1) + n2**3 * np.cos(3 * t2)
-                 + n3**3 * np.cos(3 * t3) + n4**3 * np.cos(3 * t4))
-        - 6.0 * n1 * n3 * n4 * np.cos(t1 - t3 - t4)
-        + 6.0 * n1 * n2 * n3 * np.cos(t1 - t2 + t3 - math.pi / 3.0)
-        + 6.0 * n2 * n3 * n4 * np.cos(t2 + t3 - t4 + math.pi / 3.0)
-        + 6.0 * n1 * n2 * n4 * np.cos(t1 + t2 + t4 + math.pi / 3.0)
-    )
-
-
 def test_bracket_reference_matches_library(rng):
     """The independently written bracket agrees with the library's
     closed form on random chart points."""
     for _ in range(200):
         p = _random_chart_point(rng)
-        ref = float(_bracket_reference(p.n, *p.theta)) / 27.0
+        ref = float(oracle_bracket(p.n, *p.theta)) / 27.0
         assert abs(positivity.a3_closed_form(p) - ref) < 1e-13
 
 
@@ -132,7 +117,7 @@ def test_max_a3_beats_brute_force(rng):
         # value at the reported angles agrees
         p = BlochParams.canonical(n, theta)
         assert abs(positivity.a3_closed_form(p) - best) < 1e-12
-        brute = float(np.max(_bracket_reference(n, t1, t2, t3, t4))) / 27.0
+        brute = float(np.max(oracle_bracket(n, t1, t2, t3, t4))) / 27.0
         assert best >= brute - 1e-12
 
 
@@ -195,13 +180,14 @@ def test_batched_search_rejects_bad_input():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_closed_form_rejects_non_finite_weights(bad):
-    """A non-finite weight in any slot raises, as in `max_a3_batch`,
+    """A batch that takes only the closed form (at most two active
+    weights per row) still refuses a non-finite weight in any slot,
     instead of giving a3 = NaN."""
     for slot in range(4):
         row = [0.3, 0.0, 0.0, 0.0] if slot else [0.0, 0.3, 0.0, 0.0]
         row[slot] = bad
         with pytest.raises(ValueError, match="finite"):
-            positivity.closed_form_max([(0.5, 0.0, 0.0, 0.0), row])
+            positivity.max_a3_batch([(0.5, 0.0, 0.0, 0.0), row])
 
 
 def test_batched_search_refuses_an_oversized_first_grid(monkeypatch):
@@ -225,7 +211,7 @@ def test_batched_search_refuses_an_oversized_first_grid(monkeypatch):
     positivity.max_a3_batch([three], grid_steps=177)
     found = positivity.max_a3_batch([two], grid_steps=10**9)
     assert searched == [(3, 36), (4, 36), (3, 177)]
-    assert found.a3[0] == positivity.closed_form_max([two])[0][0]
+    assert found.a3[0] == _frozen_closed_form(np.array([two]))[0][0]
 
 
 def test_point_found_unphysical_by_the_old_search_is_physical():
@@ -245,7 +231,7 @@ def test_point_found_unphysical_by_the_old_search_is_physical():
 
 
 def _reference_max_a3(n, grid_steps: int = 48) -> float:
-    """Frozen copy of the earlier search, on `_bracket_reference`: the
+    """Frozen copy of the earlier search, on `oracle_bracket`: the
     best point of the fundamental-domain grid, then coordinate ascent
     with a halving step.  The batched search must not fall below it."""
     free = [i for i in range(4) if abs(n[i]) > 1e-14]
@@ -254,7 +240,7 @@ def _reference_max_a3(n, grid_steps: int = 48) -> float:
     axes = [np.zeros(1)] * 4
     for rank, i in enumerate(free):
         axes[i] = np.arange((3 if rank < n_full else 1) * grid_steps) * step
-    vals = _bracket_reference(n, *np.meshgrid(*axes, indexing="ij"))
+    vals = oracle_bracket(n, *np.meshgrid(*axes, indexing="ij"))
     idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
     theta = [float(axes[i][idx[i]]) for i in range(4)]
     best = float(vals[idx])
@@ -265,7 +251,7 @@ def _reference_max_a3(n, grid_steps: int = 48) -> float:
             base = theta[i]
             for cand in (base + step, base - step):
                 theta[i] = cand
-                v = float(_bracket_reference(n, *theta))
+                v = float(oracle_bracket(n, *theta))
                 if v > best + 1e-12:
                     best, base, improved = v, cand, True
                 else:
@@ -326,13 +312,11 @@ def test_closed_form_rows_match_the_frozen_row_form():
     for n in _closed_form_batches():
         found = positivity.max_a3_batch(n)
         few = np.sum(np.abs(n) > 1e-14, axis=1) <= 2
-        # the search zeroes inactive weights; `closed_form_max` takes them as given
+        # the search zeroes inactive weights before the closed form
         want_a3, want_theta = _frozen_closed_form(np.where(np.abs(n) > 1e-14, n, 0.0)[few])
         assert np.array_equal(found.a3[few], want_a3)
         assert np.array_equal(found.theta[few], want_theta)
         assert found.certified[few].all()
-        for got, want in zip(positivity.closed_form_max(n[few]), _frozen_closed_form(n[few])):
-            assert np.array_equal(got, want)
 
 
 def test_batched_search_matches_its_scalar_wrappers(rng):
@@ -351,7 +335,7 @@ def test_batched_search_matches_its_scalar_wrappers(rng):
     for n, a3, theta in zip(batch, found.a3, found.theta):
         best, theta1 = positivity.max_a3_over_theta(n)
         assert abs(a3 - best) <= 1e-14
-        assert abs(_bracket_reference(n, *theta) / 27.0 - a3) <= 1e-14
+        assert abs(oracle_bracket(n, *theta) / 27.0 - a3) <= 1e-14
         if sum(v != 0.0 for v in n) <= 2:
             assert abs(a3 - _closed_form_reference(n)) <= 1e-15
             assert all(t == (math.pi / 3.0 if v < 0 else 0.0) for v, t in zip(n, theta1))
@@ -381,9 +365,9 @@ def test_grid_top_matches_brute_force_on_small_blocks(rng, monkeypatch):
         mesh = np.meshgrid(*[axes[i] if i in free else np.zeros(1) for i in range(4)],
                            indexing="ij")
         for row, vals, angles in zip(n, top, theta):
-            brute = np.sort(_bracket_reference(row, *mesh).ravel())[::-1][:4]
+            brute = np.sort(oracle_bracket(row, *mesh).ravel())[::-1][:4]
             assert np.abs(vals - brute).max() < 1e-13
-            assert np.abs(_bracket_reference(row, *angles.T) - vals).max() < 1e-13
+            assert np.abs(oracle_bracket(row, *angles.T) - vals).max() < 1e-13
 
 
 def test_three_axis_rasters_at_resolution_8_are_certified():
@@ -421,7 +405,7 @@ def test_unrefined_search_returns_the_grid_value(rng):
         n = tuple(rng.uniform(-0.6, 0.6, 4))
         coarse, theta = positivity.max_a3_over_theta(n, refine=False)
         refined, _ = positivity.max_a3_over_theta(n)
-        assert abs(_bracket_reference(n, *theta) / 27.0 - coarse) < 1e-15
+        assert abs(oracle_bracket(n, *theta) / 27.0 - coarse) < 1e-15
         assert coarse <= refined + 1e-15
 
 
@@ -456,17 +440,17 @@ def test_orbit_maps_reproduce_the_bracket():
     keys = rng.uniform(-0.6, 0.6, (40, 4))
     phi = rng.uniform(0.0, 2.0 * math.pi, (40, 4))
     want = positivity._wave_value(*positivity._wave_coefs(keys), phi)
-    assert np.abs(_bracket_reference(keys.T, *phi.T) - want).max() < 1e-12
+    assert np.abs(oracle_bracket(keys.T, *phi.T) - want).max() < 1e-12
     assert len(positivity._ORBIT_MAPS.split()) == 3 * 24
     for p in itertools.permutations(range(4)):
         sign, shift = positivity._ORBIT_SIGN[p], positivity._ORBIT_SHIFT[p]
         assert set(np.abs(sign)) == {1.0}
         theta = sign * phi[:, p] + shift
-        assert np.abs(_bracket_reference(keys[:, p].T, *theta.T) - want).max() < 1e-12, p
+        assert np.abs(oracle_bracket(keys[:, p].T, *theta.T) - want).max() < 1e-12, p
     for flip in itertools.product((1.0, -1.0), repeat=4):
         flip = np.array(flip)
         theta = phi + np.where(flip < 0, math.pi, 0.0)
-        assert np.abs(_bracket_reference((flip * keys).T, *theta.T) - want).max() < 1e-12
+        assert np.abs(oracle_bracket((flip * keys).T, *theta.T) - want).max() < 1e-12
 
 
 def _signed_permutations(n: np.ndarray) -> np.ndarray:
@@ -512,7 +496,7 @@ def test_returned_angles_attain_the_returned_value():
     searched = np.sum(n != 0.0, axis=1) > 2
     value = positivity._wave_value(*positivity._wave_coefs(n[searched]), found.theta[searched])
     assert np.array_equal(value / 27.0, found.a3[searched])
-    attained = _bracket_reference(n.T, *found.theta.T) / 27.0
+    attained = oracle_bracket(n.T, *found.theta.T) / 27.0
     assert np.abs(attained - found.a3).max() <= 1e-16
 
 
@@ -619,7 +603,7 @@ def test_bracket_is_lipschitz_in_the_weights():
     m[near] = n[near] + rng.uniform(-1e-6, 1e-6, (10000, 4))
     m[near] /= np.maximum(1.0, np.linalg.norm(m[near], axis=1, keepdims=True))
     t = rng.uniform(0.0, 2.0 * math.pi, (20000, 4))
-    gap = np.abs(_bracket_reference(n.T, *t.T) - _bracket_reference(m.T, *t.T))
+    gap = np.abs(oracle_bracket(n.T, *t.T) - oracle_bracket(m.T, *t.T))
     ratio = gap / np.sum(np.abs(n - m), axis=1)
     assert ratio.max() <= positivity._KEY_LIPSCHITZ
     assert ratio.max() > positivity._KEY_LIPSCHITZ / 3.0  # the bound is not idle
@@ -661,8 +645,8 @@ def test_box_gap_bounds_the_bracket_around_any_point():
             corner = rng.random(len(n)) < 0.5
             delta[corner] = h / 2.0 * np.sign(delta[corner])
             delta[:, active:] = 0.0
-            curve = 2.0 * _bracket_reference(n.T, *t.T) - (
-                _bracket_reference(n.T, *(t + delta).T) + _bracket_reference(n.T, *(t - delta).T))
+            curve = 2.0 * oracle_bracket(n.T, *t.T) - (
+                oracle_bracket(n.T, *(t + delta).T) + oracle_bracket(n.T, *(t - delta).T))
             worst = np.maximum(worst, curve / 2.0)
         assert np.all(worst <= gap * (1.0 + 1e-9) + 1e-14)
         assert np.median(worst / gap) > 0.5  # the bound is not idle
@@ -766,7 +750,7 @@ def test_newton_kernel_matches_the_frozen_kernel(name, monkeypatch):
             frozen = positivity.max_a3_batch(n, tol=tol)
         assert np.abs(found.a3 - frozen.a3).max() <= 1e-16
         assert np.array_equal(found.certified, frozen.certified)
-        attained = _bracket_reference(n.T, *found.theta.T) / 27.0
+        attained = oracle_bracket(n.T, *found.theta.T) / 27.0
         assert np.abs(attained - found.a3).max() <= 1e-16
 
 

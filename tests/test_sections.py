@@ -1,5 +1,6 @@
-"""Coordinate sections: reduced formulas against the full bracket,
-feasible-angle windows against brute scans, and the CSV rasterizer."""
+"""Coordinate sections: the rasterizer's values against the independent
+bracket and determinant, feasible-angle windows against brute scans,
+and the CSV writer."""
 
 import io
 import itertools
@@ -8,127 +9,76 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_det
+from conftest import oracle_bracket, oracle_det
 from qutrit_bloch import positivity, sections
 from qutrit_bloch.bloch import BlochParams, to_density
-from qutrit_bloch.errors import BadSelector, OutsideSphere
+from qutrit_bloch.errors import OutsideSphere
 
 
-def full_value(n4: tuple, t4: tuple) -> float:
-    """Library bracket on the 6*a3 scale, via the closed form."""
-    p = BlochParams.canonical(n4, t4)
-    return 6.0 * positivity.a3_closed_form(p)
+def section_value(axes, nvals, tvals) -> float:
+    """(2/9) * `oracle_bracket` with the weights and angles on the 1-based
+    `axes` and zeros elsewhere: the section value on the 6*a3 scale."""
+    n4, t4 = [0.0] * 4, [0.0] * 4
+    for axis, n, t in zip(axes, nvals, tvals):
+        n4[axis - 1], t4[axis - 1] = float(n), float(t)
+    return (2.0 / 9.0) * float(oracle_bracket(n4, *t4))
 
 
-# --- reduced formulas ---------------------------------------------------------
-
-
-def test_one_section_reduces_full_form(rng):
-    for _ in range(100):
-        n = float(rng.uniform(-1.0, 1.0))
-        t = float(rng.uniform(0.0, 2.0 * math.pi))
-        got = sections.one_section_a3(n, t)
-        for axis in range(4):
-            n4 = [0.0] * 4
-            t4 = [0.0] * 4
-            n4[axis] = n
-            t4[axis] = t
-            assert abs(got - full_value(tuple(n4), tuple(t4))) < 1e-14
-
-
-def test_two_section_reduces_full_form(rng):
-    for _ in range(100):
-        ni, nj = rng.uniform(-0.7, 0.7, 2)
-        ti, tj = rng.uniform(0.0, 2.0 * math.pi, 2)
-        got = sections.two_section_a3(float(ni), float(nj), float(ti), float(tj))
-        for ai in range(4):
-            for aj in range(4):
-                if ai == aj:
-                    continue
-                n4 = [0.0] * 4
-                t4 = [0.0] * 4
-                n4[ai], n4[aj] = ni, nj
-                t4[ai], t4[aj] = ti, tj
-                assert abs(got - full_value(tuple(n4), tuple(t4))) < 1e-14
-
-
-@pytest.mark.parametrize("which", [1, 2, 3, 4])
-def test_three_section_reduces_full_form(which, rng):
-    axes, _sign, _phase = sections.THREE_SECTION_AXES[which]
-    for _ in range(100):
-        ns = rng.uniform(-0.5, 0.5, 3)
-        ts = rng.uniform(0.0, 2.0 * math.pi, 3)
-        got = sections.three_section_a3(which, ns, ts)
-        n4 = [0.0] * 4
-        t4 = [0.0] * 4
-        for k, axis in enumerate(axes):
-            n4[axis - 1] = float(ns[k])
-            t4[axis - 1] = float(ts[k])
-        assert abs(got - full_value(tuple(n4), tuple(t4))) < 1e-14
+# --- section values -------------------------------------------------------------
 
 
 def test_three_section_selectors_match_the_determinant(rng):
-    """Selector k drops axis 5 - k, and each written form is 6 det rho,
-    with det from a permutation expansion of the hand-expanded matrix
-    (neither reads the bracket's cross-term table)."""
-    axes = {which: entry[0] for which, entry in sections.THREE_SECTION_AXES.items()}
-    assert axes == {1: (1, 2, 3), 2: (1, 2, 4), 3: (1, 3, 4), 4: (2, 3, 4)}
-    for which, retained in axes.items():
-        for _ in range(50):
-            ns = rng.uniform(-0.55, 0.55, 3)
-            ts = rng.uniform(0.0, 2.0 * math.pi, 3)
-            n4, t4 = [0.0] * 4, [0.0] * 4
-            for k, axis in enumerate(retained):
-                n4[axis - 1], t4[axis - 1] = float(ns[k]), float(ts[k])
-            det = oracle_det(to_density(BlochParams.canonical(n4, t4)))
-            assert abs(sections.three_section_a3(which, ns, ts) - 6.0 * det.real) < 1e-14
-
-
-def test_three_section_bad_selector():
-    with pytest.raises(BadSelector):
-        sections.three_section_a3(0, (0.1, 0.1, 0.1), (0.0, 0.0, 0.0))
-    with pytest.raises(BadSelector):
-        sections.three_section_a3(5, (0.1, 0.1, 0.1), (0.0, 0.0, 0.0))
+    """Selector k drops axis 5 - k and carries the sign and phase of the
+    bracket's cross term on its triple, and each three-axis section
+    scanned at fixed angles is 6 det rho, with det from a permutation
+    expansion of the hand-expanded matrix (neither reads the bracket's
+    cross-term table)."""
+    third = math.pi / 3.0
+    assert sections.THREE_SECTION_AXES == {1: ((1, 2, 3), 1.0, -third),
+                                           2: ((1, 2, 4), 1.0, third),
+                                           3: ((1, 3, 4), -1.0, 0.0),
+                                           4: ((2, 3, 4), 1.0, third)}
+    for retained, _sign, _phase in sections.THREE_SECTION_AXES.values():
+        for _ in range(2):
+            ts = tuple(rng.uniform(0.0, 2.0 * math.pi, 3))
+            spec = sections.SectionSpec(kind="three", axes=retained, resolution=7,
+                                        theta_policy="fixed", theta_values=ts)
+            _header, raster = sections.scan(spec)
+            checked = 0
+            for *ns, _feasible, val in raster:
+                if math.isnan(val):
+                    continue
+                n4, t4 = [0.0] * 4, [0.0] * 4
+                for k, axis in enumerate(retained):
+                    n4[axis - 1], t4[axis - 1] = ns[k], ts[k]
+                det = oracle_det(to_density(BlochParams.canonical(n4, t4)))
+                assert abs(val - 6.0 * det.real) < 1e-14
+                checked += all(ns)
+            assert checked >= 32  # rows where the cross term is live
 
 
 def test_sections_reject_outside_sphere():
     with pytest.raises(OutsideSphere):
-        sections.one_section_a3(1.2, 0.0)
-    with pytest.raises(OutsideSphere):
-        sections.two_section_a3(0.9, 0.9, 0.0, 0.0)
-    with pytest.raises(OutsideSphere):
-        sections.three_section_a3(1, (0.8, 0.8, 0.8), (0.0, 0.0, 0.0))
-    with pytest.raises(OutsideSphere):
         sections.one_section_window(-1.1)
-
-
-def _each_slot(values: tuple, bad: float):
-    """`values` with `bad` in one slot, for each slot in turn."""
-    for i in range(len(values)):
-        yield values[:i] + (bad,) + values[i + 1 :]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_scalar_sections_reject_non_finite_input(bad):
-    """A non-finite weight or angle in any slot raises ValueError, rather
-    than a NaN value, NaN windows or a False verdict."""
-    calls = [(sections.one_section_window, (bad,))]
-    calls += [(sections.one_section_a3, args) for args in _each_slot((0.3, 0.2), bad)]
-    calls += [(sections.two_section_point_ok, args) for args in _each_slot((0.3, 0.2), bad)]
-    calls += [(sections.two_section_a3, args) for args in _each_slot((0.3, 0.2, 0.1, 0.4), bad)]
-    calls += [(lambda *a: sections.three_section_a3(1, a[:3], a[3:]), args)
-              for args in _each_slot((0.3, 0.2, 0.1, 0.4, 0.5, 0.6), bad)]
-    for fn, args in calls:
-        with pytest.raises(ValueError):
-            fn(*args)
+    """A non-finite weight raises ValueError rather than giving NaN
+    windows."""
+    with pytest.raises(ValueError):
+        sections.one_section_window(bad)
 
 
 def test_section_evenness():
-    """(n, theta) and (-n, theta - pi) describe the same section value."""
-    for n, t in [(0.6, 0.4), (0.3, 2.0), (0.9, 1.0)]:
-        a = sections.one_section_a3(n, t)
-        b = sections.one_section_a3(-n, t - math.pi)
-        assert abs(a - b) < 1e-14
+    """(n, theta) and (-n, theta - pi) describe the same section value:
+    a one-axis scan at theta - pi is the scan at theta read backwards."""
+    for t in (0.4, 2.0, 1.0):
+        rasters = [sections.scan(sections.SectionSpec(
+            kind="one", axes=(2,), resolution=21, theta_policy="fixed", theta_values=(a,)))[1]
+            for a in (t, t - math.pi)]
+        a, b = (r.a3_max for r in rasters)
+        assert np.abs(a - b[::-1]).max() < 1e-14
 
 
 # --- feasible windows --------------------------------------------------------
@@ -187,14 +137,14 @@ def test_two_section_point_matches_angle_maximum(rng):
         peak = float(np.max(vals))
         if abs(peak) < 1e-6:
             continue  # boundary: grid may not resolve the sign
-        assert sections.two_section_point_ok(float(ni), float(nj)) == (peak > 0)
+        assert positivity.is_point_physical((ni, nj, 0.0, 0.0)) == (peak > 0)
 
 
 def test_two_section_witness_points():
-    assert sections.two_section_point_ok(0.5, 0.5)
-    assert not sections.two_section_point_ok(0.6, 0.6)
-    assert sections.two_section_point_ok(0.3, 0.3)
-    assert not sections.two_section_point_ok(-0.6, 0.6)  # sign-independent
+    assert positivity.is_point_physical((0.5, 0.5, 0.0, 0.0))
+    assert not positivity.is_point_physical((0.6, 0.6, 0.0, 0.0))
+    assert positivity.is_point_physical((0.3, 0.3, 0.0, 0.0))
+    assert not positivity.is_point_physical((-0.6, 0.6, 0.0, 0.0))  # sign-independent
 
 
 # --- rasterizer ----------------------------------------------------------------
@@ -207,7 +157,7 @@ def test_scan_grid_policy_shape_and_flags():
     assert len(rows) == 21 * 21
     for n, t, feasible, val in rows:
         assert feasible == int(val >= -1e-12)
-        assert abs(val - sections.one_section_a3(n, t)) < 1e-14
+        assert abs(val - section_value((2,), (n,), (t,))) < 1e-14
 
 
 def test_scan_fixed_policy_matches_direct_eval():
@@ -222,7 +172,7 @@ def test_scan_fixed_policy_matches_direct_eval():
         if n1 * n1 + n3 * n3 > 1.0 + 1e-12:
             assert feasible == 0 and math.isnan(val)
             continue
-        assert abs(val - sections.two_section_a3(n1, n3, 0.2, 1.0)) < 1e-14
+        assert abs(val - section_value((1, 3), (n1, n3), (0.2, 1.0))) < 1e-14
 
 
 def test_scan_maximize_policy_uses_search():
@@ -317,7 +267,7 @@ _FEASIBLE_TOL = 1e-12
 
 def reference_scan(spec):
     """The row-by-row rasterizer, kept as the oracle: one tuple of Python
-    numbers per row, the scalar section formulas for "fixed" and "grid",
+    numbers per row, `section_value` for "fixed" and "grid",
     and one `max_a3_batch` call over the in-ball points for "maximize"."""
     grid = np.linspace(-1.0, 1.0, spec.resolution)
     names = [f"n{a}" for a in spec.axes]
@@ -326,7 +276,7 @@ def reference_scan(spec):
         header = [names[0], f"theta{spec.axes[0]}", "feasible", "a3_max"]
         for n in grid:
             for t in np.linspace(0.0, math.pi, spec.resolution):
-                val = sections.one_section_a3(float(n), float(t))
+                val = section_value(spec.axes, (n,), (t,))
                 rows.append((float(n), float(t), int(val >= -_FEASIBLE_TOL), val))
         return header, rows
     header = names + ["feasible", "a3_max"]
@@ -344,23 +294,11 @@ def reference_scan(spec):
             rows.append(tuple(float(v) for v in point) + (0, math.nan))
             continue
         if spec.theta_policy == "fixed":
-            val = _reference_section_value(spec, point, spec.theta_values)
+            val = section_value(spec.axes, point, spec.theta_values)
         else:
             val = next(maxima)
         rows.append(tuple(float(v) for v in point) + (int(val >= -_FEASIBLE_TOL), float(val)))
     return header, rows
-
-
-def _reference_section_value(spec, nvals, tvals) -> float:
-    if spec.kind == "one":
-        return sections.one_section_a3(nvals[0], tvals[0])
-    if spec.kind == "two":
-        return sections.two_section_a3(nvals[0], nvals[1], tvals[0], tvals[1])
-    which = next(w for w, (axes, _s, _p) in sections.THREE_SECTION_AXES.items()
-                 if axes == tuple(sorted(spec.axes)))
-    order = np.argsort(spec.axes)
-    return sections.three_section_a3(which, [nvals[i] for i in order],
-                                     [tvals[i] for i in order])
 
 
 def reference_csv(header, rows) -> str:

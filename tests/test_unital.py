@@ -218,6 +218,16 @@ def test_unital_map_validation():
         unital.UnitalMap((1.0, 1.0, 1.0, float("nan")))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_polytope_check_rejects_non_finite_lambda(bad):
+    """As `UnitalMap` does, rather than a False verdict with NaN slacks."""
+    for slot in range(4):
+        lam = [0.1, 0.2, 0.3, 0.4]
+        lam[slot] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            unital.polytope_check(lam)
+
+
 def test_polytope_check_tolerance_keyword():
     """The default floor stays 1e-12; `tol` moves it (the CLI passes 3 tol,
     the slack scale of the Choi floor p_b >= -tol)."""

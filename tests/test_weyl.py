@@ -59,7 +59,6 @@ def test_gram_matrix_is_d_times_identity(d):
         want = d if a == b else 0.0
         worst = max(worst, abs(g - want))
     assert worst < 1e-12
-    assert weyl.orthonormality_check(d) < 1e-12
 
 
 def brute_force_classes(d: int) -> list[list[tuple[int, int]]]:
