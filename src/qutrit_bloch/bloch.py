@@ -79,13 +79,13 @@ _PAIRING = (
 _PRIMARY_KEYS = tuple(key for key, _slot, sign, _phase in _PAIRING if sign > 0)
 
 
-def canonical_pair(n: float, theta: float, zero_tol: float = _ZERO_WEIGHT) -> tuple[float, float]:
+def canonical_pair(n: float, theta: float) -> tuple[float, float]:
     """Reduce one (weight, angle) couple to the canonical gauge.
 
-    Result satisfies theta in [0, pi), and (0.0, 0.0) whenever the
-    weight vanishes; the complex value n * exp(i theta) is preserved.
+    Result satisfies theta in [0, pi), and (0.0, 0.0) whenever |n| is at
+    most `_ZERO_WEIGHT`; the complex value n * exp(i theta) is preserved.
     """
-    if abs(n) <= zero_tol:
+    if abs(n) <= _ZERO_WEIGHT:
         return 0.0, 0.0
     if n < 0.0:
         n, theta = -n, theta + np.pi
@@ -126,6 +126,8 @@ class BlochParams:
     @classmethod
     def canonical(cls, n: Sequence[float], theta: Sequence[float]) -> "BlochParams":
         """Build from arbitrary weights/angles, reducing to the gauge."""
+        if len(n) != 4 or len(theta) != 4:
+            raise ValueError("n and theta must have four entries each")
         pairs = [canonical_pair(float(a), float(b)) for a, b in zip(n, theta)]
         return cls(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
 

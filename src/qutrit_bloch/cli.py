@@ -152,8 +152,6 @@ def _cmd_scan(args) -> int:
         resolution=args.resolution,
         theta_policy=args.theta_policy,
         theta_values=theta_values,
-        grid_steps=args.grid_steps,
-        refine=not args.no_refine,
     )
     points = spec.resolution ** (2 if spec.theta_policy == "grid" else len(spec.axes))
     _check_budget(f"--resolution {spec.resolution} ({points} points)", points)
@@ -280,9 +278,6 @@ def _scan_args(p) -> None:
     p.add_argument("--resolution", type=int, default=101)
     p.add_argument("--theta-policy", choices=("grid", "fixed", "maximize"), default="maximize")
     p.add_argument("--theta", default=None, help="angles for --theta-policy fixed")
-    p.add_argument("--grid-steps", type=int, default=8,
-                   help="coarse angle grid per 2 pi/3 for --theta-policy maximize")
-    p.add_argument("--no-refine", action="store_true")
     _io_flags(p)
     p.set_defaults(func=_cmd_scan)
 

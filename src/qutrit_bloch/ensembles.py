@@ -37,7 +37,7 @@ from .bloch import GATE_TOL, BlochParams, from_density_batch
 # also bound here, where benchmarks/test_benchmark.py checks the binding
 from .bloch import from_density  # noqa: F401
 from .errors import DegenerateBures, OriginSingularity, OutsideSphere
-from .positivity import a3_polar
+from .positivity import _radial_bracket, a3_polar
 
 __all__ = [
     "EnsembleBatch",
@@ -229,7 +229,7 @@ def bures_density_simplex(eigs: Sequence[float]) -> float:
 def _radial_form(s: float, f: float) -> tuple[float, float]:
     """(4 s^3 (1 - F^2) / 27, det rho) for weight radius s and angular
     factor F; shared by both charts."""
-    return 4.0 * s ** 3 * (1.0 - f * f) / 27.0, (1.0 - 3.0 * s * s + 2.0 * s ** 3 * f) / 27.0
+    return 4.0 * s ** 3 * (1.0 - f * f) / 27.0, _radial_bracket(s, f) / 27.0
 
 
 def _radial_parts(r: float, zeta, theta) -> tuple[float, float]:

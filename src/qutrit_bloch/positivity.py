@@ -140,6 +140,11 @@ def a3_closed_form(p: BlochParams) -> float:
     return float(_wave_value(*_wave_coefs(np.array(p.n)), np.array(p.theta))) / 27.0
 
 
+def _radial_bracket(s: float, f: float) -> float:
+    """27 a3 = 1 - 3 s^2 + 2 s^3 F at weight radius s and angular factor F."""
+    return 1.0 - 3.0 * s * s + 2.0 * s ** 3 * f
+
+
 def a3_polar(r: float, zeta: Sequence[float], theta: Sequence[float]) -> tuple[float, float]:
     """Radial form of the bracket: returns (value, F) with
 
@@ -159,7 +164,7 @@ def a3_polar(r: float, zeta: Sequence[float], theta: Sequence[float]) -> tuple[f
         return 1.0, 0.0
     _base, coef = _wave_coefs(polar_weights(1.0, zeta))
     f = 0.5 * float(_wave_value(0.0, coef, np.asarray(theta, dtype=float)))
-    return 1.0 - 3.0 * r * r + 2.0 * r ** 3 * f, f
+    return _radial_bracket(r, f), f
 
 
 def in_ball(p: BlochParams, tol: float = 1e-10) -> bool:
@@ -175,6 +180,7 @@ def is_physical(p: BlochParams, tol: float = 1e-10) -> bool:
 # --- weight-point feasibility (search over angles) ----------------------
 
 _ACTIVE_WEIGHT = 1e-14  # weights at or below this count as zero
+_GRID_STEPS = 8  # first angle grid: steps per 2 pi / 3
 _CHUNK_ELEMENTS = 1 << 18  # grid values (and grid wave entries) held at once
 _ROW_BLOCK = 4096  # weight points searched together
 _NEWTON_STARTS = 4  # best grid points per row that Newton ascends from
@@ -222,24 +228,23 @@ def _orbit_tables() -> tuple[np.ndarray, np.ndarray]:
 _ORBIT_SIGN, _ORBIT_SHIFT = _orbit_tables()
 
 
-def _grid_axes(n: Sequence[float], grid_steps: int):
+def _grid_axes(free: list[int], steps: int):
     """Angle grids forming a fundamental domain of the shift symmetry,
-    for weights with three or four active entries.
+    for the active angles `free` (three or four), and their spacing.
 
     Zero-weight angles are pinned to 0.  The cross terms tie the active
     angles together, so the domain keeps the first one (three active
     weights) or two (four) of them on the full circle while the rest
     stay on [0, 2 pi / 3).
     """
-    free = [i for i in range(4) if abs(n[i]) > _ACTIVE_WEIGHT]
-    step = _TWO_THIRD_PI / grid_steps
-    reduced = np.arange(grid_steps) * step
-    full = np.arange(3 * grid_steps) * step
+    step = _TWO_THIRD_PI / steps
+    reduced = np.arange(steps) * step
+    full = np.arange(3 * steps) * step
     n_full = len(free) - 2
     axes: list[np.ndarray | float] = [0.0, 0.0, 0.0, 0.0]
     for rank, i in enumerate(free):
         axes[i] = full if rank < n_full else reduced
-    return free, axes, step
+    return axes, step
 
 
 def _grid_angles(axes, free, flat: np.ndarray) -> np.ndarray:
@@ -373,7 +378,7 @@ def _newton(base, coef, theta, free, keep, radius: float):
     return val, theta
 
 
-def _search_block(n: np.ndarray, grid_steps: int, refine: bool, tol: float):
+def _search_block(n: np.ndarray, tol: float):
     """Certified search for rows that share one set of three or four
     active weights; returns (27 a3 found, angles, upper bound on 27 a3)."""
     base, coef = _wave_coefs(n)
@@ -381,7 +386,7 @@ def _search_block(n: np.ndarray, grid_steps: int, refine: bool, tol: float):
     # the bracket's second-order term at an offset delta of the free
     # angles is at most sum_k |c_k| (D_k . delta)^2 / 2, convex in delta,
     # so on the box |delta_i| <= h/2 it peaks at a corner: box (h/2)^2 / 2
-    free = _grid_axes(n[0], grid_steps)[0]
+    free = [i for i in range(4) if abs(n[0, i]) > _ACTIVE_WEIGHT]
     corners = np.array(list(itertools.product((1.0, -1.0), repeat=len(free))))
     box = np.max(np.abs(coef) @ (_WAVE_D[:, free] @ corners.T) ** 2, axis=1)
     floor = -27.0 * tol
@@ -389,20 +394,19 @@ def _search_block(n: np.ndarray, grid_steps: int, refine: bool, tol: float):
     theta = np.zeros((len(n), 4))
     upper = np.full(len(n), np.inf)
     todo = np.arange(len(n))
-    steps = grid_steps
+    steps = _GRID_STEPS
     while True:
-        free, axes, h = _grid_axes(n[0], steps)
+        axes, h = _grid_axes(free, steps)
         vals, starts = _grid_top(base[todo], coef[todo], free, axes, steps, _NEWTON_STARTS)
         # the gradient vanishes at the true maximum and some grid point
         # lies within h/2 of it in every angle, so the grid misses it by
         # at most the second-order term's peak on that box
         gap = 0.5 * box[todo] * (h / 2.0) ** 2
         upper[todo] = np.minimum(upper[todo], vals[:, 0] + gap)
-        if refine:
-            k = vals.shape[1]
-            rows = np.repeat(todo, k)
-            vals, starts = _newton(base[rows], coef[rows], starts.reshape(-1, 4), free, keep, h)
-            vals, starts = vals.reshape(-1, k), starts.reshape(-1, k, 4)
+        k = vals.shape[1]
+        rows = np.repeat(todo, k)
+        vals, starts = _newton(base[rows], coef[rows], starts.reshape(-1, 4), free, keep, h)
+        vals, starts = vals.reshape(-1, k), starts.reshape(-1, k, 4)
         pick = np.argmax(vals, axis=1)
         found = vals[np.arange(len(todo)), pick]
         gain = found > best[todo]
@@ -443,7 +447,7 @@ def _closed_form(n: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return (1.0 - 3.0 * r2 + 2.0 * s3) / 27.0, np.where(n < -_ACTIVE_WEIGHT, np.pi / 3.0, 0.0)
 
 
-def max_a3_batch(n, grid_steps: int = 8, refine: bool = True, tol: float = 1e-10) -> ThetaSearch:
+def max_a3_batch(n, tol: float = 1e-10) -> ThetaSearch:
     """Largest a3 = det rho over all angles, per weight point of an
     (N, 4) array, with the maximizing angles and a certificate.
 
@@ -451,19 +455,17 @@ def max_a3_batch(n, grid_steps: int = 8, refine: bool = True, tol: float = 1e-10
       always certified.
     * Three or four: one search per canonical key sort(|n|) (see
       `_search_orbits`): the bracket on a fundamental-domain grid of
-      `grid_steps` steps per 2 pi / 3, for all keys with the same number
+      `_GRID_STEPS` steps per 2 pi / 3, for all keys with the same number
       of active weights at once; then damped Newton from each key's best
-      `_NEWTON_STARTS` grid points (skipped when refine is False).  The
-      value L found is attained, so it is a lower bound.  The true
-      maximum is at most U = grid max + (h/2)^2 / 2 max_s sum_k |c_k|
-      (D_k . s)^2, with c_k and D_k the amplitudes and angle vectors of
-      the bracket's waves (`_wave_table`) on the active angles, s over
-      the sign patterns {+-1}^d of those angles and h the spacing.  A
-      key is settled once L >= -27 tol or U < -27 tol (in bracket
-      units); the others, and only those, are searched again on a grid
-      of twice the steps, until the grid would exceed
-      `_MAX_GRID_POINTS` points.  A batch whose first grid already
-      exceeds it raises ValueError before any search.
+      `_NEWTON_STARTS` grid points.  The value L found is attained, so it
+      is a lower bound.  The true maximum is at most U = grid max +
+      (h/2)^2 / 2 max_s sum_k |c_k| (D_k . s)^2, with c_k and D_k the
+      amplitudes and angle vectors of the bracket's waves (`_wave_table`)
+      on the active angles, s over the sign patterns {+-1}^d of those
+      angles and h the spacing.  A key is settled once L >= -27 tol or
+      U < -27 tol (in bracket units); the others, and only those, are
+      searched again on a grid of twice the steps, until the grid would
+      exceed `_MAX_GRID_POINTS` points.
 
     The a3 returned for a row is re-evaluated at the row's own weights
     and the angles returned for it, so it is exactly attained there.
@@ -473,27 +475,19 @@ def max_a3_batch(n, grid_steps: int = 8, refine: bool = True, tol: float = 1e-10
         raise ValueError(f"weight points must have shape (N, 4), got {n.shape}")
     if not np.isfinite(n).all():
         raise ValueError("weight points must be finite")
-    if grid_steps < 1:
-        raise ValueError("grid_steps must be at least 1")
     active = np.abs(n) > _ACTIVE_WEIGHT
     count = np.count_nonzero(active, axis=1)
-    # the first grid of `_grid_axes`: 3 g^3 points for three active
-    # weights, 9 g^4 for four
-    most = int(count.max(initial=0))
-    if most > 2 and 3 ** (most - 2) * int(grid_steps) ** most > _MAX_GRID_POINTS:
-        raise ValueError(f"grid_steps {grid_steps} gives a first angle grid above "
-                         f"{_MAX_GRID_POINTS} points for {most} active weights")
     n = np.where(active, n, 0.0)
     cols = np.flatnonzero(np.any(active, axis=0))
     certified = np.ones(len(n), dtype=bool)
-    if most <= 2:
+    if count.max(initial=0) <= 2:
         return ThetaSearch(*_closed_form(n, cols), certified)
     a3 = np.empty(len(n))
     theta = np.zeros((len(n), 4))
     few = count <= 2
     if few.any():
         a3[few], theta[few] = _closed_form(n[few], cols)
-    a3[~few], theta[~few], certified[~few] = _search_orbits(n[~few], grid_steps, refine, tol)
+    a3[~few], theta[~few], certified[~few] = _search_orbits(n[~few], tol)
     return ThetaSearch(a3, theta, certified)
 
 
@@ -516,7 +510,7 @@ def _key_groups(keys: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
     return order[first], group
 
 
-def _search_keys(keys: np.ndarray, grid_steps: int, refine: bool, tol: float):
+def _search_keys(keys: np.ndarray, tol: float):
     """`_search_block` on each sorted key (K, 4), in blocks that share a
     number of active weights."""
     best, upper = np.empty(len(keys)), np.empty(len(keys))
@@ -526,11 +520,11 @@ def _search_keys(keys: np.ndarray, grid_steps: int, refine: bool, tol: float):
         rows = np.flatnonzero(active == count)
         for start in range(0, len(rows), _ROW_BLOCK):
             block = rows[start : start + _ROW_BLOCK]
-            best[block], phi[block], upper[block] = _search_block(keys[block], grid_steps, refine, tol)
+            best[block], phi[block], upper[block] = _search_block(keys[block], tol)
     return best, phi, upper
 
 
-def _search_orbits(n: np.ndarray, grid_steps: int, refine: bool, tol: float):
+def _search_orbits(n: np.ndarray, tol: float):
     """`max_a3_batch` for rows with three or four active weights.
 
     Rows are grouped by their key sort(|n|) (descending), keys that agree
@@ -556,7 +550,7 @@ def _search_orbits(n: np.ndarray, grid_steps: int, refine: bool, tol: float):
     def carry(rows: np.ndarray, bits: int):
         first, group = _key_groups(keys[rows], bits)
         searched = keys[rows[first]]
-        best, phi, upper = _search_keys(searched, grid_steps, refine, tol)
+        best, phi, upper = _search_keys(searched, tol)
         at = tuple(sigma[rows].T)
         theta = (_ORBIT_SIGN[at] * np.take_along_axis(phi[group], sigma[rows], axis=1)
                  + _ORBIT_SHIFT[at])
@@ -577,26 +571,24 @@ def _search_orbits(n: np.ndarray, grid_steps: int, refine: bool, tol: float):
     return value / 27.0, theta, certify(value)
 
 
-def max_a3_over_theta(n: Sequence[float], grid_steps: int = 8, refine: bool = True
-                      ) -> tuple[float, tuple[float, float, float, float]]:
+def max_a3_over_theta(n: Sequence[float]) -> tuple[float, tuple[float, float, float, float]]:
     """Largest achievable a3 = det rho over all angles at a fixed weight
     point, with the maximizing angles: `max_a3_batch` on one row."""
     n = tuple(float(v) for v in n)
     if len(n) != 4:
         raise ValueError("weight point must have four entries")
-    found = max_a3_batch([n], grid_steps=grid_steps, refine=refine)
+    found = max_a3_batch([n])
     return float(found.a3[0]), tuple(float(t) for t in found.theta[0])
 
 
-def is_point_physical(n: Sequence[float], grid_steps: int = 8, refine: bool = True,
-                      tol: float = 1e-10) -> bool:
+def is_point_physical(n: Sequence[float], tol: float = 1e-10) -> bool:
     """Does any angle assignment make this weight point a state?  Raises
     `Uncertified` where the search cannot prove the sign of a3 + tol."""
     n = tuple(float(v) for v in n)
     r2 = sum(v * v for v in n)
     if r2 > 1.0 + tol:
         raise OutsideSphere(f"|n|^2 = {r2:.6f} exceeds 1")
-    found = max_a3_batch([n], grid_steps=grid_steps, refine=refine, tol=tol)
+    found = max_a3_batch([n], tol=tol)
     if not found.certified[0]:
         raise Uncertified(f"the angle search left the sign of a3 + tol unproven at n = {n} "
                           f"(largest a3 found {found.a3[0]:.6e}, tol {tol:g})")

@@ -85,8 +85,7 @@ class SectionSpec:
     (1-based, distinct); resolution: grid points per weight axis;
     theta_policy: "grid" (one-axis only: raster (n, theta) jointly),
     "fixed" (evaluate at theta_values), or "maximize" (search the
-    section's angles per weight point); grid_steps/refine tune the
-    maximize search.
+    section's angles per weight point).
     """
 
     kind: str
@@ -94,8 +93,6 @@ class SectionSpec:
     resolution: int = 101
     theta_policy: str = "maximize"
     theta_values: tuple[float, ...] = ()
-    grid_steps: int = 8
-    refine: bool = True
 
     def __post_init__(self):
         kinds = {"one": 1, "two": 2, "three": 3}
@@ -107,8 +104,6 @@ class SectionSpec:
             raise ValueError("axes must be distinct values from 1..4")
         if self.resolution < 2:
             raise ValueError("resolution must be at least 2")
-        if self.grid_steps < 1:
-            raise ValueError("grid_steps must be at least 1")
         if self.theta_policy not in ("grid", "fixed", "maximize"):
             raise ValueError(f"theta_policy must be grid|fixed|maximize, got {self.theta_policy!r}")
         if self.theta_policy == "grid" and self.kind != "one":
@@ -186,8 +181,7 @@ def scan(spec: SectionSpec) -> tuple[list[str], SectionRaster]:
     a3 = np.full(len(r2), math.nan)
     certified = np.ones(len(r2), dtype=bool)
     if spec.theta_policy == "maximize":  # over the section's own angles
-        found = positivity.max_a3_batch(weights, grid_steps=spec.grid_steps,
-                                        refine=spec.refine, tol=_FEASIBLE_TOL / 6.0)
+        found = positivity.max_a3_batch(weights, tol=_FEASIBLE_TOL / 6.0)
         a3[inside] = 6.0 * found.a3
         certified[inside] = found.certified
     else:

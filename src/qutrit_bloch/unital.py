@@ -139,6 +139,7 @@ _CONSTRAINTS = np.array(
         [2.0, 2.0, 2.0, 2.0],
     ]
 )
+_ACTIVE_TOL = 1e-9  # a vertex's slack at or below this makes a constraint active
 
 
 def polytope_check(lam: Sequence[float], tol: float = 1e-12
@@ -163,7 +164,7 @@ def polytope_vertices() -> tuple[tuple[float, float, float, float], ...]:
     return tuple(out)
 
 
-def edge_lengths(active_tol: float = 1e-9) -> tuple[float, ...]:
+def edge_lengths() -> tuple[float, ...]:
     """Euclidean lengths of the polytope's edges, sorted.
 
     A vertex pair spans an edge iff the constraints active at both ends
@@ -176,7 +177,7 @@ def edge_lengths(active_tol: float = 1e-9) -> tuple[float, ...]:
     for a, b in itertools.combinations(verts, 2):
         sa = 1.0 + _CONSTRAINTS @ np.asarray(a)
         sb = 1.0 + _CONSTRAINTS @ np.asarray(b)
-        common = (np.abs(sa) <= active_tol) & (np.abs(sb) <= active_tol)
+        common = (np.abs(sa) <= _ACTIVE_TOL) & (np.abs(sb) <= _ACTIVE_TOL)
         if not np.any(common):
             continue
         rank = np.linalg.matrix_rank(_CONSTRAINTS[common])

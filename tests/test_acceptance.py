@@ -106,7 +106,7 @@ def test_two_axis_witness_point_is_unphysical_for_every_angle():
     with criterion("C05", "weight point (0.6,0.6,0,0) unphysical, peak -0.296"):
         point = (0.6, 0.6, 0.0, 0.0)
         assert positivity.is_point_physical(point) is False
-        best_a3, _ = positivity.max_a3_over_theta(point, grid_steps=48, refine=True)
+        best_a3, _ = positivity.max_a3_over_theta(point)
         assert abs(27.0 * best_a3 - (-0.296)) <= 1e-12
         assert best_a3 < 0.0
 

@@ -81,6 +81,16 @@ def test_params_validate_gauge():
     assert p.theta[2] == 0.0  # zero weight forces zero angle
 
 
+@pytest.mark.parametrize("length", [3, 5])
+def test_canonical_needs_four_weights_and_four_angles(length):
+    """A list of any other length on either key is refused, not cut to
+    its first four entries."""
+    n, theta = [0.1, 0.2, 0.3, 0.4, 0.9], [0.0, 0.5, 1.0, 1.5, 2.0]
+    for args in ((n[:length], theta[:4]), (n[:4], theta[:length])):
+        with pytest.raises(ValueError, match="four entries"):
+            BlochParams.canonical(*args)
+
+
 # --- matrix round trips ------------------------------------------------------
 
 

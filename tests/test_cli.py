@@ -8,7 +8,6 @@ import math
 import shutil
 import subprocess
 import sys
-import time
 import warnings
 
 import numpy as np
@@ -47,6 +46,16 @@ def test_state_round_trip(invoke):
     assert code == 0
     back = json.loads(out2)
     assert np.max(np.abs(np.array(back["bloch"]["n"]) - doc["bloch"]["n"])) < 1e-12
+
+
+@pytest.mark.parametrize("length", [3, 5])
+def test_bloch_block_needs_four_weights_and_four_angles(invoke, length):
+    n, theta = [0.1, 0.2, 0.3, 0.4, 0.9], [0.0, 0.5, 1.0, 1.5, 2.0]
+    for bloch in ({"n": n[:length], "theta": theta[:4]}, {"n": n[:4], "theta": theta[:length]}):
+        for argv in (["check"], ["state", "from-bloch"]):
+            code, out, err = invoke(argv, json.dumps({"bloch": bloch}))
+            assert code == 2 and out == ""
+            assert "four entries" in err
 
 
 def test_state_missing_key_is_validation_error(invoke):
@@ -126,11 +135,12 @@ def test_scan_axis_count_mismatch(invoke):
     assert "3 axes" in err
 
 
-def test_scan_rejects_empty_angle_grid(invoke):
-    code, out, err = invoke(["scan", "--kind", "three", "--axes", "1,2,3", "--resolution", "4",
-                             "--grid-steps", "0"])
-    assert code == 2 and out == ""
-    assert "grid_steps" in err
+def test_angle_search_flags_are_gone(invoke):
+    """The angle search has one configuration: no scan flag tunes it."""
+    for flag in (["--grid-steps", "8"], ["--no-refine"]):
+        code, out, err = invoke(["scan", "--kind=three", "--axes=1,2,3", "--resolution=4", *flag])
+        assert code == 2 and out == ""
+        assert flag[0] in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -139,25 +149,6 @@ def test_scan_rejects_non_finite_theta(invoke, value):
                              "--theta-policy=fixed", f"--theta={value},0"])
     assert code == 2 and out == ""
     assert "finite" in err
-
-
-def test_scan_refuses_an_oversized_angle_grid_before_searching(invoke, monkeypatch):
-    """--grid-steps 2000 asks for a first grid of 3 * 2000^3 points per
-    three-weight row; two-weight rows take the closed form at any steps."""
-
-    def no_search(*args):
-        raise AssertionError("the oversized grid search ran")
-
-    monkeypatch.setattr(positivity, "_search_block", no_search)
-    start = time.perf_counter()
-    code, out, err = invoke(["scan", "--kind=three", "--axes=1,2,3", "--resolution=4",
-                             "--grid-steps=2000"])
-    assert time.perf_counter() - start < 1.0
-    assert code == 2 and out == ""
-    assert "grid_steps 2000" in err
-    code, out, _ = invoke(["scan", "--kind=two", "--axes=1,2", "--resolution=5",
-                           "--grid-steps=2000"])
-    assert code == 0 and len(out.splitlines()) == 26
 
 
 def test_scan_reports_uncertified_rows_on_stderr(invoke, monkeypatch):

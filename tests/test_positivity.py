@@ -113,7 +113,7 @@ def test_max_a3_beats_brute_force(rng):
     t1, t2, t3, t4 = np.meshgrid(grid, grid, grid, grid, indexing="ij")
     for _ in range(8):
         n = tuple(rng.uniform(-0.6, 0.6, 4))
-        best, theta = positivity.max_a3_over_theta(n, grid_steps=24)
+        best, theta = positivity.max_a3_over_theta(n)
         # value at the reported angles agrees
         p = BlochParams.canonical(n, theta)
         assert abs(positivity.a3_closed_form(p) - best) < 1e-12
@@ -141,18 +141,18 @@ def test_max_a3_two_axis_witness():
 
 
 def test_is_point_physical_matches_search(rng):
-    """A proven verdict agrees with a finer search; a row the search
-    leaves uncertified raises instead of answering."""
+    """A proven verdict agrees with the frozen reference search; a row
+    the search leaves uncertified raises instead of answering."""
     verdicts = []
     for _ in range(12):
         n = rng.uniform(-0.7, 0.7, 4)
         if float(np.dot(n, n)) > 1.0:
             continue
-        best, _ = positivity.max_a3_over_theta(tuple(n), grid_steps=30)
+        best = _reference_max_a3(tuple(n), grid_steps=16)
         if abs(best) < 1e-10:
             continue
         try:
-            verdicts.append(positivity.is_point_physical(tuple(n), grid_steps=24) == (best > 0))
+            verdicts.append(positivity.is_point_physical(tuple(n)) == (best > 0))
         except Uncertified:
             continue
     assert len(verdicts) >= 5 and all(verdicts)
@@ -166,8 +166,6 @@ def test_is_point_physical_outside_sphere():
 def test_batched_search_rejects_bad_input():
     with pytest.raises(ValueError):
         positivity.max_a3_batch([(0.3, 0.3, 0.3)])
-    with pytest.raises(ValueError):
-        positivity.max_a3_batch([(0.3, 0.3, 0.3, 0.0)], grid_steps=0)
     # a non-finite weight is refused, not zeroed as an inactive one
     for bad in ((np.nan, 0.5, 0.5, 0.0), (np.nan, 0.0, 0.0, 0.0), (np.inf, 0.1, 0.2, 0.3)):
         with pytest.raises(ValueError):
@@ -188,30 +186,6 @@ def test_closed_form_rejects_non_finite_weights(bad):
         row[slot] = bad
         with pytest.raises(ValueError, match="finite"):
             positivity.max_a3_batch([(0.5, 0.0, 0.0, 0.0), row])
-
-
-def test_batched_search_refuses_an_oversized_first_grid(monkeypatch):
-    """The first grid holds 3 g^3 points for three active weights and
-    9 g^4 for four; a batch that needs more than 2^24 is refused before
-    any row is searched.  Two active weights need no grid."""
-    searched = []
-
-    def fake_search(n, grid_steps, refine, tol):
-        searched.append((int(np.sum(n[0] != 0.0)), grid_steps))
-        return np.zeros(len(n)), np.zeros((len(n), 4)), np.full(len(n), np.inf)
-
-    monkeypatch.setattr(positivity, "_search_block", fake_search)
-    three, four, two = (0.3, 0.3, 0.3, 0.0), (0.2, 0.2, 0.2, 0.2), (0.3, 0.3, 0.0, 0.0)
-    for rows, steps in (([three], 178), ([four], 37), ([two, two, four], 37), ([three], 10**9)):
-        with pytest.raises(ValueError, match="first angle grid"):
-            positivity.max_a3_batch(rows, grid_steps=steps)
-    assert searched == []
-    assert max(3 * 177 ** 3, 9 * 36 ** 4) <= positivity._MAX_GRID_POINTS
-    positivity.max_a3_batch([three, four], grid_steps=36)
-    positivity.max_a3_batch([three], grid_steps=177)
-    found = positivity.max_a3_batch([two], grid_steps=10**9)
-    assert searched == [(3, 36), (4, 36), (3, 177)]
-    assert found.a3[0] == _frozen_closed_form(np.array([two]))[0][0]
 
 
 def test_point_found_unphysical_by_the_old_search_is_physical():
@@ -304,11 +278,16 @@ def _closed_form_batches():
     yield np.zeros((0, 4))
 
 
-def test_closed_form_rows_match_the_frozen_row_form():
+def test_closed_form_rows_match_the_frozen_row_form(monkeypatch):
     """Every row with at most two active weights gets the a3 and angles
     of the frozen row form bit for bit, alone or among searched rows.
     `reference_scan` in tests/test_sections.py calls `max_a3_batch`
-    itself, so it cannot see a moved bit."""
+    itself, so it cannot see a moved bit.  A batch of such rows alone
+    runs no angle search."""
+    with monkeypatch.context() as m:
+        m.setattr(positivity, "_search_block", None)
+        two = np.array([(0.3, 0.3, 0.0, 0.0)])
+        assert positivity.max_a3_batch(two).a3[0] == _frozen_closed_form(two)[0][0]
     for n in _closed_form_batches():
         found = positivity.max_a3_batch(n)
         few = np.sum(np.abs(n) > 1e-14, axis=1) <= 2
@@ -360,7 +339,8 @@ def test_grid_top_matches_brute_force_on_small_blocks(rng, monkeypatch):
     for mask in ((1, 1, 1, 0), (0, 1, 1, 1), (1, 1, 1, 1)):
         n = rng.uniform(-0.7, 0.7, (3, 4)) * mask
         base, coef = positivity._wave_coefs(n)
-        free, axes, _h = positivity._grid_axes(n[0], 4)
+        free = np.flatnonzero(mask).tolist()
+        axes, _h = positivity._grid_axes(free, 4)
         top, theta = positivity._grid_top(base, coef, free, axes, 4, 4)
         mesh = np.meshgrid(*[axes[i] if i in free else np.zeros(1) for i in range(4)],
                            indexing="ij")
@@ -382,7 +362,14 @@ def test_three_axis_rasters_at_resolution_8_are_certified():
         assert found.certified.all()
 
 
-def test_grid_certificate_is_sound_and_closed_by_regridding(rng):
+def _grid_only(m):
+    """Stub Newton out on the monkeypatch m: every start comes back
+    unmoved, at its own bracket value, so the search is the grid alone."""
+    m.setattr(positivity, "_newton", lambda base, coef, theta, free, keep, radius:
+              (positivity._wave_value(base, coef, theta), theta))
+
+
+def test_grid_certificate_is_sound_and_closed_by_regridding(rng, monkeypatch):
     """Without Newton the verdict rests on the grid and the curvature
     bound alone.  Rows whose sign the first grid leaves open are searched
     on finer grids until it is decided, and every certified sign agrees
@@ -392,7 +379,9 @@ def test_grid_certificate_is_sound_and_closed_by_regridding(rng):
         n = rng.standard_normal(4)
         n[rng.integers(4)] = 0.0
         points.append(tuple(n * rng.uniform(0.55, 0.95) / np.linalg.norm(n)))
-    found = positivity.max_a3_batch(points, refine=False)
+    with monkeypatch.context() as m:
+        _grid_only(m)
+        found = positivity.max_a3_batch(points)
     reference = np.array([_reference_max_a3(n) for n in points])
     assert np.all(found.a3 <= reference + 1e-12)
     tol = 1e-10
@@ -400,10 +389,12 @@ def test_grid_certificate_is_sound_and_closed_by_regridding(rng):
     assert found.certified.all()
 
 
-def test_unrefined_search_returns_the_grid_value(rng):
+def test_unrefined_search_returns_the_grid_value(rng, monkeypatch):
     for _ in range(6):
         n = tuple(rng.uniform(-0.6, 0.6, 4))
-        coarse, theta = positivity.max_a3_over_theta(n, refine=False)
+        with monkeypatch.context() as m:
+            _grid_only(m)
+            coarse, theta = positivity.max_a3_over_theta(n)
         refined, _ = positivity.max_a3_over_theta(n)
         assert abs(oracle_bracket(n, *theta) / 27.0 - coarse) < 1e-15
         assert coarse <= refined + 1e-15
@@ -506,9 +497,9 @@ def test_each_orbit_is_searched_once(monkeypatch):
     searched = []
     search = positivity._search_block
 
-    def spy(n, grid_steps, refine, tol):
+    def spy(n, tol):
         searched.append(n.copy())
-        return search(n, grid_steps, refine, tol)
+        return search(n, tol)
 
     monkeypatch.setattr(positivity, "_search_block", spy)
     a, b = (0.2, -0.5, 0.3, 0.0), (0.1, 0.2, 0.3, 0.4)
@@ -572,9 +563,9 @@ def test_ulp_neighbours_of_a_key_are_searched_once(monkeypatch):
     searched = []
     search = positivity._search_block
 
-    def spy(n, grid_steps, refine, tol):
+    def spy(n, tol):
         searched.append(n.copy())
-        return search(n, grid_steps, refine, tol)
+        return search(n, tol)
 
     monkeypatch.setattr(positivity, "_search_block", spy)
     groups = [_ulp_neighbours(key, rng) for key in _BINARY_KEYS]
@@ -619,8 +610,10 @@ def _box_gap(n, steps: int) -> np.ndarray:
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(positivity, "_grid_top", flat_grid)
+        _grid_only(m)
+        m.setattr(positivity, "_GRID_STEPS", steps)
         m.setattr(positivity, "_MAX_GRID_POINTS", 0)  # stop after the first grid
-        return positivity._search_block(n, steps, False, 1e-10)[2]
+        return positivity._search_block(n, 1e-10)[2]
 
 
 def test_box_gap_bounds_the_bracket_around_any_point():

@@ -177,7 +177,7 @@ def test_scan_fixed_policy_matches_direct_eval():
 
 def test_scan_maximize_policy_uses_search():
     spec = sections.SectionSpec(
-        kind="one", axes=(1,), resolution=9, theta_policy="maximize", grid_steps=24,
+        kind="one", axes=(1,), resolution=9, theta_policy="maximize",
     )
     _header, rows = sections.scan(spec)
     for n1, feasible, val in rows:
@@ -246,8 +246,6 @@ def test_section_spec_validation():
         sections.SectionSpec(kind="two", axes=(1, 2), theta_policy="fixed", theta_values=(0.0,))
     with pytest.raises(ValueError):
         sections.SectionSpec(kind="one", axes=(1,), resolution=1)
-    with pytest.raises(ValueError):
-        sections.SectionSpec(kind="three", axes=(1, 2, 3), grid_steps=0)
     for policy in ("maximize", "grid"):
         with pytest.raises(ValueError, match="only apply to the fixed policy"):
             sections.SectionSpec(kind="one", axes=(1,), theta_policy=policy, theta_values=(0.3,))
@@ -286,8 +284,7 @@ def reference_scan(spec):
     if spec.theta_policy == "maximize":
         padded = np.zeros((int(inside.sum()), 4))
         padded[:, [a - 1 for a in spec.axes]] = points[inside]
-        found = positivity.max_a3_batch(padded, grid_steps=spec.grid_steps, refine=spec.refine,
-                                        tol=_FEASIBLE_TOL / 6.0)
+        found = positivity.max_a3_batch(padded, tol=_FEASIBLE_TOL / 6.0)
         maxima = iter(6.0 * found.a3)
     for point, ok in zip(points, inside):
         if not ok:
@@ -338,9 +335,9 @@ def test_three_axis_scan_searches_each_orbit_once(monkeypatch):
     searched = []
     search = positivity._search_block
 
-    def spy(n, grid_steps, refine, tol):
+    def spy(n, tol):
         searched.append(len(n))
-        return search(n, grid_steps, refine, tol)
+        return search(n, tol)
 
     monkeypatch.setattr(positivity, "_search_block", spy)
     spec = sections.SectionSpec(kind="three", axes=(1, 2, 3), resolution=8)
