@@ -145,7 +145,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_scan(args) -> int:
     axes = tuple(int(a) for a in args.axes.split(","))
-    theta_values = _floats(args.theta, flag="--theta") if args.theta else ()
+    theta_values = _floats(args.theta, flag="--theta") if args.theta is not None else ()
     spec = sections.SectionSpec(
         kind=args.kind,
         axes=axes,
@@ -186,7 +186,7 @@ def _cmd_unital(args) -> int:
     if not args.lam:
         raise QutritBlochError("unital check/choi needs --lam")
     lam = _floats(args.lam, 4, "--lam")
-    phi = _floats(args.phi, 4, "--phi") if args.phi else (0.0, 0.0, 0.0, 0.0)
+    phi = _floats(args.phi, 4, "--phi") if args.phi is not None else (0.0, 0.0, 0.0, 0.0)
     m = unital.UnitalMap(lam, phi)
     eigs = [float(x) for x in unital.choi_eigenvalues(m)]
     if args.action == "choi":
@@ -233,6 +233,8 @@ def _cmd_sample(args) -> int:
 
 def _cmd_density(args) -> int:
     which = args.which
+    if args.signed and which not in ("bures", "bures-gm"):
+        raise QutritBlochError("--signed applies only to --which bures or bures-gm")
     need = 1 if which.startswith("qubit") else 8
     at = _floats(args.at, need, "--at")
     if which == "hs":
@@ -314,7 +316,7 @@ def _density_args(p) -> None:
     )
     p.add_argument("--at", required=True, help="r,zeta1..3,theta1..4 | g1..g8 | r, per --which")
     p.add_argument("--signed", action="store_true",
-                   help="signed diagnostic outside the Bures domain")
+                   help="signed diagnostic outside the Bures domain (bures, bures-gm)")
     _io_flags(p)
     p.set_defaults(func=_cmd_density)
 

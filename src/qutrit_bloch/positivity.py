@@ -228,84 +228,57 @@ def _orbit_tables() -> tuple[np.ndarray, np.ndarray]:
 _ORBIT_SIGN, _ORBIT_SHIFT = _orbit_tables()
 
 
-def _grid_axes(free: list[int], steps: int):
-    """Angle grids forming a fundamental domain of the shift symmetry,
-    for the active angles `free` (three or four), and their spacing.
+def _grid_lengths(active: int, steps: int) -> list[int]:
+    """Axis lengths of the angle grid on `active` (three or four) active
+    angles, `steps` steps per 2 pi / 3.  Grid point m (an integer vector)
+    sits at angles m * 2 pi / (3 steps); zero-weight angles stay at 0.
 
-    Zero-weight angles are pinned to 0.  The cross terms tie the active
-    angles together, so the domain keeps the first one (three active
-    weights) or two (four) of them on the full circle while the rest
-    stay on [0, 2 pi / 3).
+    The lengths span a fundamental domain of the shift symmetry: the
+    cross terms tie the active angles together, so the domain keeps the
+    first one (three active weights) or two (four) of them on the full
+    circle while the rest stay on [0, 2 pi / 3).
     """
-    step = _TWO_THIRD_PI / steps
-    reduced = np.arange(steps) * step
-    full = np.arange(3 * steps) * step
-    n_full = len(free) - 2
-    axes: list[np.ndarray | float] = [0.0, 0.0, 0.0, 0.0]
-    for rank, i in enumerate(free):
-        axes[i] = full if rank < n_full else reduced
-    return axes, step
+    return [3 * steps] * (active - 2) + [steps, steps]
 
 
-def _grid_angles(axes, free, flat: np.ndarray) -> np.ndarray:
-    """Angles (M, 4) of the grid points with the given flat indices."""
-    theta = np.zeros((len(flat), 4))
-    for i, idx in zip(free, np.unravel_index(flat, [len(axes[i]) for i in free])):
-        theta[:, i] = axes[i][idx]
-    return theta
-
-
-def _grid_blocks(lengths: list[int], budget: int):
-    """Split a grid (C order) into contiguous blocks of at most `budget`
-    points (one, if a single line is longer).  Yields the first flat
-    index of each block and its per-axis indices, shaped to broadcast."""
-    d = len(lengths)
-    split, tail = d - 1, 1
-    while split > 0 and tail * lengths[split] <= budget:
-        tail *= lengths[split]
-        split -= 1
-    chunk = max(1, min(lengths[split], budget // tail))
-
-    def shaped(axis, idx):
-        return np.reshape(idx, [-1 if a == axis else 1 for a in range(d)])
-
-    rest = [shaped(a, np.arange(lengths[a])) for a in range(split + 1, d)]
-    for lead in np.ndindex(*lengths[:split]):
-        for s0 in range(0, lengths[split], chunk):
-            idx = [shaped(a, lead[a]) for a in range(split)]
-            idx.append(shaped(split, np.arange(s0, min(s0 + chunk, lengths[split]))))
-            start = int(np.ravel_multi_index(tuple(lead) + (s0,) + (0,) * len(rest), lengths))
-            yield start, idx + rest
-
-
-def _grid_top(base, coef, free, axes, steps: int, count: int):
+def _grid_top(base, coef, free, keep, steps: int, count: int):
     """The `count` largest bracket values on the grid for each row, in
     descending order (R, count), and their angles (R, count, 4).
 
-    Grid angles are integer multiples m of the spacing, so each wave
-    angle D_k . theta + phase_k is 2 pi / (3 steps) * (D_k . m) + phase_k:
-    the waves are read from a table of one period (3 steps entries) on
-    the axes they depend on, and each block of values is one matrix
-    product over all rows."""
-    lengths = [len(axes[i]) for i in free]
-    count = min(count, int(np.prod(lengths)))
-    keep = np.flatnonzero(np.any(coef != 0.0, axis=0))
-    period = 3 * steps
-    table = np.cos(_TWO_THIRD_PI / steps * np.arange(period) + _WAVE_PHASE[keep, None])
-    d_int = _WAVE_D[np.ix_(keep, free)].astype(np.int64)
+    The grid is walked in blocks of consecutive flat indices.  At grid
+    point m each wave angle D_k . theta + phase_k is
+    2 pi / (3 steps) * (D_k . m) + phase_k, so the waves `keep` are read
+    from a table of their values over one period (3 steps entries) of
+    D_k . m, and each block of values is one matrix product over all
+    rows.  A flat index is q steps^2 + r, with r the point on the last two
+    axes, so D_k . m splits into a part of q and a part of r; each is
+    reduced mod 3 steps on its own, and their sum is read from the table
+    repeated once."""
+    lengths = _grid_lengths(len(free), steps)
+    total = int(np.prod(lengths))
+    count = min(count, total)
+    period, square = 3 * steps, steps * steps
+    h = _TWO_THIRD_PI / steps
+    table = np.tile(np.cos(h * np.arange(period) + _WAVE_PHASE[keep, None]), 2)
+    d = _WAVE_D[np.ix_(keep, free)].astype(np.int64)
+    inner = (d[:, -2:] @ np.array(np.unravel_index(np.arange(square), lengths[-2:]))) % period
+    row = 2 * period * np.arange(len(keep))[:, None]  # where each wave's table starts
     best_val = np.full((len(base), count), -np.inf)
     best_idx = np.zeros((len(base), count), dtype=np.int64)
-    for start, idx in _grid_blocks(lengths, max(1, _CHUNK_ELEMENTS // len(keep))):
-        shape = np.broadcast_shapes(*(m.shape for m in idx))
-        waves = np.empty((len(keep),) + shape)
-        for k, dk in enumerate(d_int):
-            waves[k] = table[k, sum(c * m for c, m in zip(dk, idx) if c) % period]
-        waves = waves.reshape(len(keep), -1)
-        flat = start + np.arange(waves.shape[1])
-        rows = max(1, _CHUNK_ELEMENTS // waves.shape[1])
+    block = _CHUNK_ELEMENTS // len(keep)
+    for start in range(0, total, block):
+        stop = min(start + block, total)
+        q = np.arange(start // square, (stop - 1) // square + 1)
+        outer = (d[:, :-2] @ np.array(np.unravel_index(q, lengths[:-2]))) % period + row
+        idx = (outer[:, :, None] + inner[:, None, :]).reshape(len(keep), -1)
+        skip = start - q[0] * square
+        waves = table.take(idx[:, skip : skip + stop - start])
+        flat = np.arange(start, stop)
+        rows = max(1, _CHUNK_ELEMENTS // len(flat))
         for r0 in range(0, len(base), rows):
             r = slice(r0, r0 + rows)
-            vals = base[r, None] + coef[r][:, keep] @ waves
+            vals = coef[r][:, keep] @ waves
+            vals += base[r, None]  # in place: one block-sized array fewer
             if vals.shape[1] > count:
                 part = np.argpartition(vals, -count, axis=1)[:, -count:]
                 vals = np.take_along_axis(vals, part, axis=1)
@@ -316,7 +289,8 @@ def _grid_top(base, coef, free, axes, steps: int, count: int):
             order = np.argsort(-merged_val, axis=1, kind="stable")[:, :count]
             best_val[r] = np.take_along_axis(merged_val, order, axis=1)
             best_idx[r] = np.take_along_axis(merged_idx, order, axis=1)
-    theta = _grid_angles(axes, free, best_idx.ravel()).reshape(len(base), count, 4)
+    theta = np.zeros((len(base), count, 4))
+    theta[:, :, free] = np.stack(np.unravel_index(best_idx, lengths), axis=-1) * h
     return best_val, theta
 
 
@@ -396,8 +370,8 @@ def _search_block(n: np.ndarray, tol: float):
     todo = np.arange(len(n))
     steps = _GRID_STEPS
     while True:
-        axes, h = _grid_axes(free, steps)
-        vals, starts = _grid_top(base[todo], coef[todo], free, axes, steps, _NEWTON_STARTS)
+        h = _TWO_THIRD_PI / steps
+        vals, starts = _grid_top(base[todo], coef[todo], free, keep, steps, _NEWTON_STARTS)
         # the gradient vanishes at the true maximum and some grid point
         # lies within h/2 of it in every angle, so the grid misses it by
         # at most the second-order term's peak on that box
@@ -415,8 +389,7 @@ def _search_block(n: np.ndarray, tol: float):
         settled = (best >= floor) | (upper < floor)
         todo = np.flatnonzero(~settled)
         steps *= 2
-        grid_points = np.prod([len(axes[i]) for i in free]) * 2 ** len(free)
-        if not todo.size or grid_points > _MAX_GRID_POINTS:
+        if not todo.size or np.prod(_grid_lengths(len(free), steps)) > _MAX_GRID_POINTS:
             return best, np.mod(theta, 2.0 * np.pi), upper
 
 

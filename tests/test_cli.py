@@ -454,6 +454,19 @@ def test_density_forms(invoke):
     assert json.loads(out)["value"] < 0.0
 
 
+@pytest.mark.parametrize("which, at", [
+    ("hs", "0.5,0.7,0.9,1.1,0.1,0.2,0.3,0.4"),
+    ("hs-gm", "0.1,0,0,0,0,0,0,0"),
+    ("qubit-hs", "0.4"),
+    ("qubit-bures", "0.4"),
+])
+def test_density_signed_is_refused_outside_bures(invoke, which, at):
+    assert invoke(["density", f"--which={which}", f"--at={at}"])[0] == 0
+    code, out, err = invoke(["density", f"--which={which}", f"--at={at}", "--signed"])
+    assert code == 2 and out == ""
+    assert err == "error: --signed applies only to --which bures or bures-gm\n"
+
+
 def test_density_at_length_validation(invoke):
     code, _, err = invoke(["density", "--which", "hs", "--at", "0.5"])
     assert code == 2
@@ -541,6 +554,16 @@ def test_tol_must_be_finite_and_non_negative(invoke, argv, stdin_text, value):
     code, out, err = invoke([*argv, f"--tol={value}"], stdin_text)
     assert code == 2 and out == ""
     assert "argument --tol: must be finite and at least 0" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["unital", "check", "--lam=1,1,1,1", "--phi="], "--phi"),
+    (["scan", "--kind=one", "--axes=1", "--resolution=3", "--theta="], "--theta"),
+])
+def test_empty_list_flag_is_refused_not_read_as_absent(invoke, argv, flag):
+    code, out, err = invoke(argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag}: expected comma-separated numbers")
 
 
 def test_tol_accepts_zero_and_keeps_the_float_message(invoke):

@@ -334,20 +334,26 @@ def test_batched_search_never_below_the_earlier_search(rng):
 
 def test_grid_top_matches_brute_force_on_small_blocks(rng, monkeypatch):
     """The blocked, table-driven grid evaluation returns the largest grid
-    values, even when the grid is cut into blocks of a few points."""
-    monkeypatch.setattr(positivity, "_CHUNK_ELEMENTS", 37)
-    for mask in ((1, 1, 1, 0), (0, 1, 1, 1), (1, 1, 1, 1)):
-        n = rng.uniform(-0.7, 0.7, (3, 4)) * mask
-        base, coef = positivity._wave_coefs(n)
-        free = np.flatnonzero(mask).tolist()
-        axes, _h = positivity._grid_axes(free, 4)
-        top, theta = positivity._grid_top(base, coef, free, axes, 4, 4)
-        mesh = np.meshgrid(*[axes[i] if i in free else np.zeros(1) for i in range(4)],
-                           indexing="ij")
-        for row, vals, angles in zip(n, top, theta):
-            brute = np.sort(oracle_bracket(row, *mesh).ravel())[::-1][:4]
-            assert np.abs(vals - brute).max() < 1e-13
-            assert np.abs(oracle_bracket(row, *angles.T) - vals).max() < 1e-13
+    values, even when the grid is cut into blocks of a few points.  At
+    56 elements the four-active grid (2 304 points, 7 a block) ends in a
+    block of one point, fewer than the values kept per row."""
+    steps = 4
+    h = 2.0 * math.pi / 3.0 / steps
+    for chunk in (37, 56):
+        monkeypatch.setattr(positivity, "_CHUNK_ELEMENTS", chunk)
+        for mask in ((1, 1, 1, 0), (0, 1, 1, 1), (1, 1, 1, 1)):
+            n = rng.uniform(-0.7, 0.7, (3, 4)) * mask
+            base, coef = positivity._wave_coefs(n)
+            free = np.flatnonzero(mask).tolist()
+            keep = np.flatnonzero(np.any(coef != 0.0, axis=0))
+            top, theta = positivity._grid_top(base, coef, free, keep, steps, 4)
+            lengths = dict(zip(free, positivity._grid_lengths(len(free), steps)))
+            mesh = np.meshgrid(*[np.arange(lengths[i]) * h if i in free else np.zeros(1)
+                                 for i in range(4)], indexing="ij")
+            for row, vals, angles in zip(n, top, theta):
+                brute = np.sort(oracle_bracket(row, *mesh).ravel())[::-1][:4]
+                assert np.abs(vals - brute).max() < 1e-13
+                assert np.abs(oracle_bracket(row, *angles.T) - vals).max() < 1e-13
 
 
 def test_three_axis_rasters_at_resolution_8_are_certified():
@@ -605,7 +611,7 @@ def _box_gap(n, steps: int) -> np.ndarray:
     its first grid of `steps` steps, for weight points n (R, 4) that
     share their active weights: the upper bound when every grid value
     reads 0."""
-    def flat_grid(base, coef, free, axes, steps, count):
+    def flat_grid(base, coef, free, keep, steps, count):
         return np.zeros((len(base), count)), np.zeros((len(base), count, 4))
 
     with pytest.MonkeyPatch.context() as m:
