@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,23 +24,14 @@ import numpy as np
 from qutrit_bloch import geometry, mub
 
 
-@dataclass(frozen=True)
-class ConjectureConfig:
-    trials: int = 2_000
-    seed: int = 0xB10C
-    grid: int = 24
-    tol: float = 1e-8
-    out: Path | None = None
-
-
-def haar_experiment(cfg: ConjectureConfig) -> dict:
-    report = geometry.conjecture1_explore(cfg.trials, cfg.seed, tol=cfg.tol)
-    report["fraction_neither"] = report["neither"] / (3 * cfg.trials)
+def haar_experiment(trials: int, seed: int, tol: float) -> dict:
+    report = geometry.conjecture1_explore(trials, seed, tol=tol)
+    report["fraction_neither"] = report["neither"] / (3 * trials)
     return report
 
 
-def closed_family_experiment(cfg: ConjectureConfig) -> dict:
-    grid = np.linspace(0.0, 2.0 * np.pi, cfg.grid, endpoint=False)
+def closed_family_experiment(side: int) -> dict:
+    grid = np.linspace(0.0, 2.0 * np.pi, side, endpoint=False)
     worst_overlap = 0.0
     worst_cycle = 0.0
     worst_weight_spread = 0.0
@@ -66,24 +56,24 @@ def closed_family_experiment(cfg: ConjectureConfig) -> dict:
                     dev = np.abs(np.abs(np.array(ket.bloch.n)) - np.array(point))
                     worst_weight_spread = max(worst_weight_spread, float(dev.max()))
     return {
-        "grid": cfg.grid,
-        "families": cfg.grid * cfg.grid,
+        "grid": side,
+        "families": side * side,
         "worst_unbiasedness_deviation": worst_overlap,
         "worst_weight_cycle_deviation": worst_cycle,
         "worst_within_basis_weight_spread": worst_weight_spread,
     }
 
 
-def run(cfg: ConjectureConfig) -> dict:
+def run(args: argparse.Namespace) -> dict:
     report = {
-        "haar_random_bases": haar_experiment(cfg),
-        "closed_four_basis_construction": closed_family_experiment(cfg),
+        "haar_random_bases": haar_experiment(args.trials, args.seed, args.tol),
+        "closed_four_basis_construction": closed_family_experiment(args.grid),
     }
     text = json.dumps(report, indent=2, default=float)
-    if cfg.out is not None:
-        cfg.out.parent.mkdir(parents=True, exist_ok=True)
-        cfg.out.write_text(text + "\n")
-        print(f"wrote {cfg.out}")
+    if args.out is not None:
+        args.out.parent.mkdir(parents=True, exist_ok=True)
+        args.out.write_text(text + "\n")
+        print(f"wrote {args.out}")
     else:
         print(text)
     return report
@@ -98,9 +88,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0xB10C)
     ap.add_argument("--tol", type=float, default=1e-8)
     ap.add_argument("--out", type=Path, default=None, help="write JSON here")
-    args = ap.parse_args(argv)
-    run(ConjectureConfig(trials=args.trials, seed=args.seed, grid=args.grid,
-                         tol=args.tol, out=args.out))
+    run(ap.parse_args(argv))
     return 0
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,36 +20,29 @@ import numpy as np
 from qutrit_bloch import ensembles
 
 
-@dataclass(frozen=True)
-class StatsConfig:
-    out_dir: Path
-    measures: tuple[str, ...] = ("hs", "bures")
-    count: int = 20_000
-    bins: int = 20
-    seed: int = 0xB10C
-    identity_count: int = 2_000
+IDENTITY_COUNT = 2_000  # fresh draws for the closed-form identity checks
 
 
-def measure_report(cfg: StatsConfig, measure: str) -> dict:
-    batch = ensembles.sample_batch(measure, cfg.count, cfg.seed)
+def measure_report(args: argparse.Namespace, measure: str) -> dict:
+    batch = ensembles.sample_batch(measure, args.count, args.seed)
     eigs = batch.eigs.ravel()
     min_eig = batch.eigs.min(axis=1)
 
-    edges = np.linspace(0.0, 1.0, cfg.bins + 1)
+    edges = np.linspace(0.0, 1.0, args.bins + 1)
     hist, _ = np.histogram(eigs, bins=edges)
-    csv_path = cfg.out_dir / f"eig_hist_{measure}.csv"
+    csv_path = args.out_dir / f"eig_hist_{measure}.csv"
     with csv_path.open("w") as stream:
         stream.write("bin_lo,bin_hi,count,density\n")
-        width = 1.0 / cfg.bins
-        for k in range(cfg.bins):
+        width = 1.0 / args.bins
+        for k in range(args.bins):
             dens = hist[k] / (eigs.size * width)
             stream.write(f"{edges[k]:.17g},{edges[k+1]:.17g},{hist[k]},{dens:.17g}\n")
     print(f"wrote {csv_path}")
 
     return {
         "measure": measure,
-        "count": cfg.count,
-        "seed": cfg.seed,
+        "count": args.count,
+        "seed": args.seed,
         "mean_purity": float(batch.purity.mean()),
         "std_purity": float(batch.purity.std()),
         "mean_radius": float(batch.r.mean()),
@@ -64,19 +56,20 @@ def measure_report(cfg: StatsConfig, measure: str) -> dict:
     }
 
 
-def run(cfg: StatsConfig) -> dict:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+def run(args: argparse.Namespace) -> dict:
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    measures = args.measures.split(",")
     report = {
         "config": {
-            "count": cfg.count,
-            "bins": cfg.bins,
-            "seed": cfg.seed,
-            "measures": list(cfg.measures),
+            "count": args.count,
+            "bins": args.bins,
+            "seed": args.seed,
+            "measures": measures,
         },
-        "measures": [measure_report(cfg, m) for m in cfg.measures],
-        "identity_checks": ensembles.identity_checks(cfg.identity_count, cfg.seed),
+        "measures": [measure_report(args, m) for m in measures],
+        "identity_checks": ensembles.identity_checks(IDENTITY_COUNT, args.seed),
     }
-    out = cfg.out_dir / "ensemble_stats.json"
+    out = args.out_dir / "ensemble_stats.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")
     return report
@@ -90,15 +83,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0xB10C)
     ap.add_argument("--measures", default="hs,bures",
                     help="comma-separated subset of {hs,bures}")
-    args = ap.parse_args(argv)
-    cfg = StatsConfig(
-        out_dir=args.out_dir,
-        measures=tuple(args.measures.split(",")),
-        count=args.count,
-        bins=args.bins,
-        seed=args.seed,
-    )
-    report = run(cfg)
+    report = run(ap.parse_args(argv))
     for m in report["measures"]:
         print(f"{m['measure']}: mean purity {m['mean_purity']:.4f}, "
               f"mean radius {m['mean_radius']:.4f}")

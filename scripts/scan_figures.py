@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,29 +22,24 @@ import numpy as np
 from qutrit_bloch import sections
 
 
-@dataclass(frozen=True)
-class FigureConfig:
-    out_dir: Path
-    resolution: int = 201
-    window_samples: int = 451
-    three_axis_kinds: tuple[int, ...] = field(default=(1, 2, 3, 4))
+WINDOW_SAMPLES = 451  # weights n in [-1, 1] at which the windows are tabulated
 
 
-def write_scan(cfg: FigureConfig, name: str, spec: sections.SectionSpec) -> Path:
+def write_scan(out_dir: Path, name: str, spec: sections.SectionSpec) -> Path:
     header, rows = sections.scan(spec)
-    path = cfg.out_dir / name
+    path = out_dir / name
     with path.open("w") as stream:
         sections.write_csv(header, rows, stream)
     print(f"wrote {path} ({len(rows)} rows)")
     return path
 
 
-def write_windows(cfg: FigureConfig) -> Path:
+def write_windows(out_dir: Path) -> Path:
     """Tabulate the closed-form feasible-angle windows on a single axis."""
-    path = cfg.out_dir / "one_axis_windows.csv"
+    path = out_dir / "one_axis_windows.csv"
     with path.open("w") as stream:
         stream.write("n,window_index,theta_lo,theta_hi\n")
-        for n in np.linspace(-1.0, 1.0, cfg.window_samples):
+        for n in np.linspace(-1.0, 1.0, WINDOW_SAMPLES):
             if n == 0.0:
                 continue
             for k, (lo, hi) in enumerate(sections.one_section_window(float(n))):
@@ -56,36 +50,35 @@ def write_windows(cfg: FigureConfig) -> Path:
     return path
 
 
-def run(cfg: FigureConfig) -> None:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+def run(out_dir: Path, resolution: int) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     write_scan(
-        cfg,
+        out_dir,
         "one_axis_grid.csv",
         sections.SectionSpec(
-            kind="one", axes=(1,), resolution=cfg.resolution, theta_policy="grid"
+            kind="one", axes=(1,), resolution=resolution, theta_policy="grid"
         ),
     )
-    write_windows(cfg)
+    write_windows(out_dir)
     write_scan(
-        cfg,
+        out_dir,
         "two_axis_map.csv",
         sections.SectionSpec(
             kind="two",
             axes=(1, 2),
-            resolution=cfg.resolution,
+            resolution=resolution,
             theta_policy="maximize",
         ),
     )
-    for which in cfg.three_axis_kinds:
-        axes, _sign, _phase = sections.THREE_SECTION_AXES[which]
+    for which, (axes, _sign, _phase) in sections.THREE_SECTION_AXES.items():
         write_scan(
-            cfg,
+            out_dir,
             f"three_axis_{which}.csv",
             sections.SectionSpec(
                 kind="three",
                 axes=axes,
-                resolution=max(41, cfg.resolution // 4),
+                resolution=max(41, resolution // 4),
                 theta_policy="maximize",
             ),
         )
@@ -97,7 +90,7 @@ def main(argv=None) -> int:
     ap.add_argument("--resolution", type=int, default=201,
                     help="grid points per weight axis (default 201)")
     args = ap.parse_args(argv)
-    run(FigureConfig(out_dir=args.out_dir, resolution=args.resolution))
+    run(args.out_dir, args.resolution)
     return 0
 
 

@@ -29,7 +29,6 @@ radius r plus three polar angles zeta with
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -53,8 +52,6 @@ __all__ = [
     "polar_weights",
     "state_document",
     "parse_state_document",
-    "dump_state_json",
-    "load_state_json",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -134,10 +131,6 @@ class BlochParams:
     @property
     def radius(self) -> float:
         return float(np.sqrt(sum(v * v for v in self.n)))
-
-    def weight_abs(self) -> tuple[float, float, float, float]:
-        """Unsigned weight 4-vector (gauge-free)."""
-        return tuple(abs(v) for v in self.n)
 
 
 @dataclass(frozen=True)
@@ -344,15 +337,3 @@ def parse_state_document(doc: dict, tol: float = GATE_TOL) -> BlochParams:
     if params is None:
         raise NotAState("state document needs a 'matrix' or 'bloch' key")
     return params
-
-
-def dump_state_json(p: BlochParams) -> str:
-    return json.dumps(state_document(p), indent=2)
-
-
-def load_state_json(text: str, tol: float = GATE_TOL) -> BlochParams:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise NotAState(f"invalid JSON: {exc}") from exc
-    return parse_state_document(doc, tol=tol)

@@ -73,7 +73,7 @@ def _write_text(text: str, path: str | None) -> None:
 
 
 def _emit_json(doc: dict, path: str | None) -> None:
-    _write_text(json.dumps(doc, indent=2) + "\n", path)
+    _write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", path)
 
 
 def _check_budget(what: str, units: int) -> None:

@@ -43,7 +43,6 @@ __all__ = [
     "EnsembleBatch",
     "EnsembleSample",
     "as_rng",
-    "ginibre",
     "haar_unitary",
     "sample_rhos",
     "sample_hs",
@@ -81,11 +80,6 @@ def _haar(blocks: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(_ginibre(blocks))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., np.newaxis, :]
-
-
-def ginibre(rng: np.random.Generator, dim: int = 3) -> np.ndarray:
-    """Square matrix of independent standard complex Gaussians."""
-    return _ginibre(rng.standard_normal((2, dim, dim)))
 
 
 def haar_unitary(rng: np.random.Generator, dim: int = 3) -> np.ndarray:

@@ -76,6 +76,10 @@ def test_params_validate_gauge():
         BlochParams((0.1, 0.0, 0.0, 0.0), (-0.1, 0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         BlochParams((0.0, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="four entries"):
+        BlochParams((0.1, 0.0, 0.0), (0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        BlochParams((0.1, 0.0, 0.0, 0.0), (math.nan, 0.0, 0.0, 0.0))
     p = BlochParams.canonical((0.1, -0.2, 0.0, 0.3), (3.5, -0.4, 1.0, 9.0))
     assert all(0.0 <= t < math.pi for t in p.theta)
     assert p.theta[2] == 0.0  # zero weight forces zero angle
@@ -181,11 +185,15 @@ def test_polar_round_trip(rng):
         back = bloch.from_polar(pol, p.theta)
         assert np.max(np.abs(np.array(back.n) - np.array(p.n))) < 1e-12
         assert np.max(np.abs(np.array(back.theta) - np.array(p.theta))) < 1e-12
+    origin = BlochParams((0.0,) * 4, (0.0,) * 4)
+    assert bloch.to_polar(origin) == PolarParams(0.0, (0.0, 0.0, 0.0))
 
 
 def test_polar_params_validate():
     with pytest.raises(ValueError):
         PolarParams(-0.1, (0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="three entries"):
+        PolarParams(0.5, (0.0, 0.0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -207,8 +215,9 @@ def test_state_document_round_trip(rng):
     assert set(doc) == {"bloch", "matrix"}
     q = bloch.parse_state_document(doc)
     assert np.max(np.abs(np.array(q.n) - np.array(p.n))) < 1e-12
-    text = bloch.dump_state_json(p)
-    assert bloch.dump_state_json(bloch.load_state_json(text)) == text
+    text = json.dumps(doc, indent=2)
+    again = bloch.state_document(bloch.parse_state_document(json.loads(text)))
+    assert json.dumps(again, indent=2) == text
 
 
 def test_matrix_document_encoding(rng):
@@ -317,10 +326,20 @@ def test_from_density_batch_gates():
 
 
 def test_document_cross_validation(rng):
-    """A document whose matrix and chart blocks disagree is rejected."""
+    """A document whose matrix and chart blocks disagree is rejected, as
+    are documents that hold no well-formed block."""
     p = random_params(rng)
     q = random_params(rng)
     doc = bloch.state_document(p)
     doc["matrix"] = bloch.state_document(q)["matrix"]
     with pytest.raises(NotAState):
         bloch.parse_state_document(doc)
+    qubit = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+    for bad, match in (
+        ([], "JSON object"),
+        ({}, "needs a 'matrix' or 'bloch' key"),
+        ({"bloch": {"n": [0.1, 0.0, 0.0, 0.0]}}, "malformed bloch block"),
+        ({"matrix": qubit}, "3x3"),
+    ):
+        with pytest.raises(NotAState, match=match):
+            bloch.parse_state_document(bad)

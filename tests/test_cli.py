@@ -62,6 +62,13 @@ def test_state_missing_key_is_validation_error(invoke):
     code, _, err = invoke(["state", "to-bloch"], json.dumps({"bloch": {}}))
     assert code == 2
     assert "matrix" in err
+    matrix = [[[1.0 / 3.0, 0.0] if i == j else [0.0, 0.0] for j in range(3)] for i in range(3)]
+    code, out, err = invoke(["state", "from-bloch"], json.dumps({"matrix": matrix}))
+    assert (code, out) == (2, "")
+    assert "bloch" in err
+    code, out, err = invoke(["check"], "[1, 2, 3]")
+    assert (code, out) == (2, "")
+    assert "JSON object" in err
 
 
 def test_check_physical_state(invoke):
@@ -702,3 +709,19 @@ def test_module_entry_point():
     doc = json.loads(proc.stdout)
     pts = sorted(tuple(round(x, 9) for x in b["weight_point"]) for b in doc["bases"])
     assert (1.0, 0.0, 0.0, 0.0) in pts
+
+
+@pytest.mark.parametrize("argv, stdin_text", [
+    (["check"], json.dumps({"bloch": {"n": [1e200, 0, 0, 0], "theta": [0, 0, 0, 0]}})),
+    (["state", "from-bloch"], json.dumps({"bloch": {"n": [0, 1e308, 0, 0], "theta": [0, 0, 0, 0]}})),
+    (["unital", "check", "--lam=1e308,1e308,1e308,1e308"], None),
+], ids=["check", "state-from-bloch", "unital-check"])
+def test_overflowing_output_is_refused_not_printed(argv, stdin_text):
+    # out of process: pytest's error::RuntimeWarning filter would stop the
+    # in-process run at numpy's overflow warning, before any JSON is written
+    proc = subprocess.run(
+        [sys.executable, "-m", "qutrit_bloch", *argv],
+        input=stdin_text or "", capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "not JSON compliant" in proc.stderr

@@ -251,6 +251,8 @@ def test_simplex_density_validation():
         ensembles.hs_density_simplex((0.5, 0.3, 0.3))  # sums to 1.1
     with pytest.raises(ValueError):
         ensembles.hs_density_simplex((1.2, -0.1, -0.1))
+    with pytest.raises(ValueError, match="three eigenvalues"):
+        ensembles.hs_density_simplex((0.5, 0.5))
     with pytest.raises(DegenerateBures):
         ensembles.bures_density_simplex((0.5, 0.5, 0.0))
 
@@ -340,6 +342,9 @@ def test_bures_signed_diagnostic_changes_sign():
     hi = ensembles.bures_density_bloch(0.76, zeta, theta, signed=True)
     assert lo > 0.0
     assert hi < 0.0
+    # an exactly vanishing denominator has no sign to report
+    with pytest.raises(DegenerateBures, match="vanishes exactly"):
+        ensembles._bures_ratio(1.0, 0.1, 0.0, "gap", signed=True)
 
 
 def test_density_origin_and_sphere_gates():

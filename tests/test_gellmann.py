@@ -71,6 +71,10 @@ def test_to_gm_validation():
     bad[0, 0] = 1.0
     with pytest.raises(NotAState):
         gellmann.to_gm(bad)
+    with pytest.raises(ValueError, match="eight entries"):
+        gellmann.GmBloch((0.1,) * 7)
+    with pytest.raises(ValueError, match="non-finite"):
+        gellmann.GmBloch((0.1,) * 7 + (math.nan,))
 
 
 def test_hs_density_identity(rng):

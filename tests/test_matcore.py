@@ -21,6 +21,8 @@ def test_as_matrix_rejects_non_square():
         matcore.as_matrix(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         matcore.as_matrix(np.zeros(4))
+    with pytest.raises(ValueError, match="non-finite"):
+        matcore.as_matrix([[1.0, 0.0], [0.0, np.nan]])
 
 
 def test_herm_eigvals_3x3_moment_oracle(rng):

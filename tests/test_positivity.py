@@ -11,7 +11,7 @@ import pytest
 from conftest import oracle_bracket, oracle_eigvals, random_density, random_params
 from qutrit_bloch import positivity
 from qutrit_bloch.bloch import BlochParams, from_density, to_density
-from qutrit_bloch.errors import NotPhysical, OutsideSphere, Uncertified
+from qutrit_bloch.errors import NotAState, NotPhysical, OutsideSphere, Uncertified
 
 
 def _random_chart_point(rng):
@@ -32,6 +32,8 @@ def test_char_coeffs_match_eigen_symmetric_functions(rng):
         assert abs(c.a1 - 1.0) < 1e-12
         assert abs(c.a2 - (l1 * l2 + l1 * l3 + l2 * l3)) < 1e-12
         assert abs(c.a3 - l1 * l2 * l3) < 1e-12
+    with pytest.raises(NotAState, match="3x3"):
+        positivity.char_coeffs(np.eye(2) / 2.0)
 
 
 def test_a3_closed_form_equals_matrix_determinant(rng):
@@ -166,6 +168,8 @@ def test_is_point_physical_outside_sphere():
 def test_batched_search_rejects_bad_input():
     with pytest.raises(ValueError):
         positivity.max_a3_batch([(0.3, 0.3, 0.3)])
+    with pytest.raises(ValueError, match="four entries"):
+        positivity.max_a3_over_theta((0.3, 0.3, 0.3))
     # a non-finite weight is refused, not zeroed as an inactive one
     for bad in ((np.nan, 0.5, 0.5, 0.0), (np.nan, 0.0, 0.0, 0.0), (np.inf, 0.1, 0.2, 0.3)):
         with pytest.raises(ValueError):

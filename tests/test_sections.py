@@ -246,6 +246,8 @@ def test_section_spec_validation():
         sections.SectionSpec(kind="two", axes=(1, 2), theta_policy="fixed", theta_values=(0.0,))
     with pytest.raises(ValueError):
         sections.SectionSpec(kind="one", axes=(1,), resolution=1)
+    with pytest.raises(ValueError, match=r"grid\|fixed\|maximize"):
+        sections.SectionSpec(kind="one", axes=(1,), theta_policy="random")
     for policy in ("maximize", "grid"):
         with pytest.raises(ValueError, match="only apply to the fixed policy"):
             sections.SectionSpec(kind="one", axes=(1,), theta_policy=policy, theta_values=(0.3,))

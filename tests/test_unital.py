@@ -216,6 +216,10 @@ def test_unital_map_validation():
         unital.UnitalMap((1.0, 1.0, 1.0, 1.0), (0.0,))
     with pytest.raises(ValueError):
         unital.UnitalMap((1.0, 1.0, 1.0, float("nan")))
+    with pytest.raises(ValueError, match="four entries"):
+        unital.polytope_check((1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="3x3"):
+        unital.apply_to_matrix(unital.UnitalMap((1.0, 1.0, 1.0, 1.0)), np.eye(2))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

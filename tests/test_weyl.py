@@ -136,3 +136,7 @@ def test_non_prime_dimension_rejected_for_classes():
         weyl.commuting_classes(4)
     with pytest.raises(NotPrime):
         weyl.commuting_classes(6)
+    with pytest.raises(NotPrime):
+        weyl.commuting_classes(1)
+    with pytest.raises(ValueError, match="at least 2"):
+        weyl.weyl_op(0, 0, d=1)
