@@ -24,6 +24,8 @@ import io
 import json
 import math
 import sys
+from itertools import chain
+from typing import Iterable
 
 import numpy as np
 
@@ -41,11 +43,17 @@ DEFAULT_SEED = 0xB10C
 
 # Largest working set a `sample` or `scan` request may ask for (4 GiB).
 # A request is estimated as its sampled states or raster points times
-# _BYTES_PER_UNIT (measured peaks: about 1.5 kB per state, at most 1.2 kB
-# per point) and refused with exit 2, before anything is allocated, when
-# the estimate exceeds the budget.
+# _BYTES_PER_UNIT (measured: at most 1.2 kB per scan point; `sample` holds
+# one chunk at a time, so for it the estimate only caps --count) and
+# refused with exit 2, before anything is allocated, when the estimate
+# exceeds the budget.
 BYTE_BUDGET = 4 << 30
 _BYTES_PER_UNIT = 2048
+
+# Rows `sample` draws, formats and writes at a time.  One generator feeds
+# every chunk and each column is computed per row, so the bytes do not
+# depend on this size.
+_SAMPLE_CHUNK = 4096
 
 _SAMPLE_HEADER = (
     "seed,index,eig1,eig2,eig3,n1,n2,n3,n4,theta1,theta2,theta3,theta4,r,det,purity"
@@ -64,16 +72,18 @@ def _read_json(path: str | None) -> dict:
     return doc
 
 
-def _write_text(text: str, path: str | None) -> None:
+def _write_text(chunks: Iterable[str], path: str | None) -> None:
+    """Write `chunks` one at a time to `path` (stdout for None or "-").
+    The only place `--out` is opened: a refused request never touches it."""
     if path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _emit_json(doc: dict, path: str | None) -> None:
-    _write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", path)
+    _write_text([json.dumps(doc, indent=2, allow_nan=False) + "\n"], path)
 
 
 def _check_budget(what: str, units: int) -> None:
@@ -158,7 +168,7 @@ def _cmd_scan(args) -> int:
     header, raster = sections.scan(spec)
     buf = io.StringIO()
     sections.write_csv(header, raster, buf)
-    _write_text(buf.getvalue(), args.output)
+    _write_text([buf.getvalue()], args.output)
     unproven = int(np.count_nonzero(~raster.certified))
     if unproven:
         print(f"warning: {unproven} of {len(raster)} rows have an unproven sign", file=sys.stderr)
@@ -221,12 +231,20 @@ def _cmd_sample(args) -> int:
     if args.count < 1:
         raise QutritBlochError("--count must be at least 1")
     _check_budget(f"--count {args.count}", args.count)
-    b = ensembles.sample_batch(args.ensemble, args.count, args.seed)
-    table = np.column_stack((np.arange(len(b)), b.eigs, b.n, b.theta, b.r, b.det, b.purity))
-    # one format call for every row: "%.17g" % v is format(v, ".17g"), and
-    # the index column holds exact floats
+    rng = np.random.default_rng(args.seed)
+    # one format call per chunk: "%.17g" % v is format(v, ".17g"), and the
+    # index column holds exact floats
     row = f"{args.seed},%d," + ",".join(["%.17g"] * 14) + "\n"
-    _write_text(_SAMPLE_HEADER + "\n" + (row * len(b)) % tuple(table.ravel().tolist()),
+
+    def chunk(start: int) -> str:
+        # the chunk's arrays die on return, before the next chunk is drawn
+        k = min(_SAMPLE_CHUNK, args.count - start)
+        b = ensembles.sample_batch(args.ensemble, k, rng)
+        table = np.column_stack((np.arange(start, start + k), b.eigs, b.n, b.theta,
+                                 b.r, b.det, b.purity))
+        return (row * k) % tuple(table.ravel().tolist())
+
+    _write_text(chain([_SAMPLE_HEADER + "\n"], map(chunk, range(0, args.count, _SAMPLE_CHUNK))),
                 args.output)
     return 0
 

@@ -8,6 +8,9 @@ Samplers (Ginibre-based, seeded via numpy's PCG64 `default_rng`):
 Per sample the generator is consumed in a fixed order (real then
 imaginary Ginibre block, then - for Bures - the unitary's block), so a
 batch of size k reproduces the first k samples of any larger batch.
+Every column is computed per row, so batches of k1, k2, ... drawn in
+turn from one generator equal, bit for bit, one batch of k1 + k2 + ...
+drawn from the same seed; `sample` streams its CSV this way.
 `sample_batch` returns the draws as columns (spectrum, chart, radius,
 determinant, purity), each one array pass over the stack.
 

@@ -441,6 +441,72 @@ def test_sample_cells_are_17_digit_column_values(invoke):
         assert line.split(",")[2:] == [format(float(v), ".17g") for v in values]
 
 
+@pytest.mark.parametrize("measure", ["hs", "bures"])
+def test_sample_streams_chunks_as_one_batch(invoke, tmp_path, measure):
+    """Across chunk boundaries the CSV is the rendering of one batch, and
+    the index column runs on without a break; --out gets the same bytes."""
+    from qutrit_bloch import ensembles
+
+    count, seed = 2 * cli._SAMPLE_CHUNK + 17, 606
+    argv = ["sample", f"--ensemble={measure}", f"--count={count}", f"--seed={seed}"]
+    code, out, err = invoke(argv)
+    assert (code, err) == (0, "")
+    b = ensembles.sample_batch(measure, count, seed)
+    expected = [cli._SAMPLE_HEADER]
+    for k in range(count):
+        values = [*b.eigs[k], *b.n[k], *b.theta[k], b.r[k], b.det[k], b.purity[k]]
+        expected.append(",".join([str(seed), str(k), *(format(float(v), ".17g") for v in values)]))
+    assert out == "\n".join(expected) + "\n"
+    lines = out.splitlines()
+    for edge in (cli._SAMPLE_CHUNK, 2 * cli._SAMPLE_CHUNK):
+        assert [line.split(",")[1] for line in lines[edge - 1:edge + 3]] == [
+            str(k) for k in range(edge - 2, edge + 2)]
+    dst = tmp_path / "sample.csv"
+    assert invoke([*argv, "--out", str(dst)])[:2] == (0, "")
+    assert dst.read_bytes() == out.encode()
+
+
+def test_sample_refusals_leave_out_untouched(invoke, tmp_path):
+    """--out is opened only after every check: a directory is an input
+    error, and a refused --count neither creates nor truncates the file."""
+    code, out, err = invoke(["sample", "--ensemble=hs", "--count=3", "--out", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    missing = tmp_path / "missing.csv"
+    code, out, _ = invoke(["sample", "--ensemble=hs", "--count=0", "--out", str(missing)])
+    assert code == 2 and out == "" and not missing.exists()
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier\n")
+    limit = cli.BYTE_BUDGET // cli._BYTES_PER_UNIT
+    for count in (0, limit + 1):
+        code, out, _ = invoke(["sample", "--ensemble=hs", f"--count={count}", "--out", str(kept)])
+        assert code == 2 and out == ""
+        assert kept.read_text() == "earlier\n"
+
+
+def test_sample_peak_memory_does_not_grow_with_count(tmp_path):
+    """tracemalloc sees numpy's buffers too, so the traced peak of a
+    streamed `sample` is one chunk's, whatever --count is: eight chunks
+    peak within 1.5x of one (one CSV string for all rows gave 8x)."""
+    import tracemalloc
+
+    chunk = cli._SAMPLE_CHUNK
+
+    def peak(count: int) -> int:
+        tracemalloc.reset_peak()
+        argv = ["sample", "--ensemble=bures", f"--count={count}", "--out", str(tmp_path / "s.csv")]
+        assert cli.run(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+
+    tracemalloc.start()
+    try:
+        peak(chunk)  # one-time allocations (imports, caches) land here
+        one, eight = peak(chunk), peak(8 * chunk)
+    finally:
+        tracemalloc.stop()
+    assert eight <= 1.5 * one, (one, eight)
+
+
 # --- density --------------------------------------------------------------------
 
 

@@ -151,6 +151,18 @@ def test_column_prefix_property(measure):
 
 
 @pytest.mark.parametrize("measure", ["hs", "bures"])
+def test_consecutive_batches_continue_one_stream(measure):
+    """Batches of 1, 4 and 7 drawn in turn from one generator are the 12
+    draws of one batch, bit for bit: `sample` streams its CSV this way."""
+    whole = ensembles.sample_batch(measure, 12, 2024)
+    rng = np.random.default_rng(2024)
+    parts = [ensembles.sample_batch(measure, k, rng) for k in (1, 4, 7)]
+    for name in ("rho", "eigs", "n", "theta", "r", "det", "purity"):
+        joined = np.concatenate([getattr(p, name) for p in parts])
+        assert np.array_equal(joined, getattr(whole, name)), name
+
+
+@pytest.mark.parametrize("measure", ["hs", "bures"])
 def test_empty_batch_has_zero_rows(measure):
     batch = ensembles.sample_batch(measure, 0, 5)
     assert len(batch) == 0 and list(batch) == []
